@@ -15,13 +15,14 @@ from .numerics import (
     MinimizeResult,
     NumericsError,
     QuadratureSpec,
+    antiderivative,
     finite_diff,
     integrate,
     lambert_w0,
     minimize_scalar,
 )
 from .weights import WeightFunction, catalog_weight, normalize_weight, tabulated_weight
-from .links import Link, Rho, canonical_link, catalog_link, numeric_inverse, rho_of
+from .links import Link, canonical_link, catalog_link, numeric_inverse, rho_of
 from .proper import (
     CostLoss,
     ImpropernessError,

@@ -133,13 +133,8 @@ def check_proper(ell_pos: Callable, ell_neg: Callable, grid: Sequence[float],
     residual is the largest normalised disagreement.
     """
     grid = np.asarray(grid, dtype=float)
-    r_pos = np.empty_like(grid)
-    r_neg = np.empty_like(grid)
-    for i, x in enumerate(grid):
-        dp = finite_diff(lambda t: float(np.asarray(ell_pos(np.asarray(t)))), x, 1)
-        dn = finite_diff(lambda t: float(np.asarray(ell_neg(np.asarray(t)))), x, 1)
-        r_pos[i] = -dp / (1.0 - x)
-        r_neg[i] = dn / x
+    r_pos = -finite_diff(ell_pos, grid, 1) / (1.0 - grid)
+    r_neg = finite_diff(ell_neg, grid, 1) / grid
     scale = np.maximum(1.0, np.maximum(np.abs(r_pos), np.abs(r_neg)))
     resid = np.abs(r_pos - r_neg) / scale
     max_resid = float(np.max(resid))
@@ -157,19 +152,14 @@ def _log_weight_slope(wf: WeightFunction, xs: np.ndarray) -> np.ndarray:
                 / np.asarray(wf.w(xs), dtype=float))
     # derivative of log w by central differences: better conditioned when w
     # is small
-    h = 1e-6
-    up = np.log(np.asarray(wf.w(xs + h), dtype=float))
-    dn = np.log(np.asarray(wf.w(xs - h), dtype=float))
-    return (up - dn) / (2.0 * h)
+    return finite_diff(lambda t: np.log(np.asarray(wf.w(t), dtype=float)), xs, 1, h=1e-6)
 
 
 def _link_curvature_ratio(link: Link, xs: np.ndarray) -> np.ndarray:
     dpsi = np.asarray(link.psi_prime(xs), dtype=float)
     if link.psi_second is not None:
         return np.asarray(link.psi_second(xs), dtype=float) / dpsi
-    dd = np.array([finite_diff(lambda t: float(np.asarray(link.psi_prime(np.asarray(t)))),
-                               x, 1, h=1e-6) for x in xs])
-    return dd / dpsi
+    return finite_diff(link.psi_prime, xs, 1, h=1e-6) / dpsi
 
 
 def convexity_characterization(wf: WeightFunction, link: Link,
@@ -213,6 +203,7 @@ def convexity_oracle(cl: CompositeLoss,
     of every conditional risk, so checking y = -1 and y = +1 suffices.
     Violations are reported in probability coordinates ``x = q(v)`` with
     side "lower" for the negative partial and "upper" for the positive one.
+    The grid is inverted once; both partials are read off the base loss.
     """
     if score_grid is None:
         score_grid = np.asarray(cl.link.psi(certification_grid()), dtype=float)
@@ -220,7 +211,7 @@ def convexity_oracle(cl: CompositeLoss,
     qs = np.asarray(cl.link.q(vs), dtype=float)
     violations = []
     for y, side in ((-1, "lower"), (1, "upper")):
-        fv = np.asarray(cl.ell(y, vs), dtype=float)
+        fv = np.asarray(cl.base.ell(y, qs), dtype=float)
         x0, x1, x2 = vs[:-2], vs[1:-1], vs[2:]
         f0, f1, f2 = fv[:-2], fv[1:-1], fv[2:]
         dd = 2.0 * ((f2 - f1) / (x2 - x1) - (f1 - f0) / (x1 - x0)) / (x2 - x0)

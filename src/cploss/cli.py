@@ -9,7 +9,8 @@ Weight names follow the catalog; ``{"name": "canonical"}`` as a link means
 the canonical link of the chosen weight.  All JSON reports carry
 ``"schema": "cploss/1"`` and print floats in Python's shortest round-trip
 form (documented in the README).  Exit codes: 0 success, 1 failed
-certification under ``--strict``, 2 usage error, 3 numeric failure.
+certification under ``--strict``, 2 usage error (non-finite numbers
+included), 3 numeric failure (a non-finite result included).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import math
 import os
 import sys
 
@@ -29,9 +31,24 @@ from .links import LINK_CATALOG_INFO, Link, canonical_link, catalog_link
 from .numerics import NumericsError
 from .proper import bayes_risk, conditional_risk, from_weight, reconstruct_symmetric, regret
 from .weights import WEIGHT_CATALOG_INFO, WeightFunction, catalog_weight, tabulated_weight
-from .weights import _as_array_fn
+from .weights import _interpolant
 
 SCHEMA = "cploss/1"
+
+
+class _FiniteFloat(click.ParamType):
+    """A float option that rejects inf and nan as usage errors."""
+
+    name = "float"
+
+    def convert(self, value, param, ctx):
+        x = click.FLOAT.convert(value, param, ctx)
+        if not math.isfinite(x):
+            self.fail(f"{value!r} is not a finite number", param, ctx)
+        return x
+
+
+FINITE = _FiniteFloat()
 
 
 def _jsonify(obj):
@@ -47,9 +64,25 @@ def _jsonify(obj):
 
 
 def _emit_json(payload: dict) -> None:
+    """Print one strict-JSON report; a non-finite value is a numeric failure (exit 3)."""
     doc = {"schema": SCHEMA}
     doc.update(_jsonify(payload))
-    click.echo(json.dumps(doc))
+    for key, value in doc.items():
+        try:
+            json.dumps(value, allow_nan=False)
+        except ValueError:
+            click.echo(f"numeric failure: non-finite value for {key!r}", err=True)
+            sys.exit(3)
+    click.echo(json.dumps(doc, allow_nan=False))
+
+
+def _write_csv(path: str, header: list, *columns) -> None:
+    """Write columns as CSV rows with 17-significant-digit fields."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow([f"{x:.17g}" for x in row])
 
 
 def _load_document(spec: str) -> dict:
@@ -73,11 +106,7 @@ def _build_callable(entry: dict, what: str):
         except ExpressionError as err:
             raise click.UsageError(f"bad {what} expression: {err}")
     if "table" in entry:
-        table = np.asarray(entry["table"], dtype=float)
-        xs, ys = table[:, 0], table[:, 1]
-        order = np.argsort(xs)
-        xs, ys = xs[order], ys[order]
-        return _as_array_fn(lambda t: np.interp(np.asarray(t, dtype=float), xs, ys))
+        return _interpolant(np.asarray(entry["table"], dtype=float))
     raise click.UsageError(f"{what} entry needs 'expr' or 'table'")
 
 
@@ -155,9 +184,9 @@ def catalog() -> None:
 @main.command("eval")
 @click.option("--loss", "spec", required=True, help="loss spec (inline JSON or file)")
 @click.option("--y", "label", type=click.Choice(["+1", "-1", "1"]), required=True)
-@click.option("--etahat", type=float, default=None, help="probability-scale prediction")
+@click.option("--etahat", type=FINITE, default=None, help="probability-scale prediction")
 @click.option("--link", "link_name", default=None, help="override the spec's link")
-@click.option("--v", "score", type=float, default=None, help="score-scale prediction")
+@click.option("--v", "score", type=FINITE, default=None, help="score-scale prediction")
 @numeric_guard
 def eval_cmd(spec: str, label: str, etahat: float | None,
              link_name: str | None, score: float | None) -> None:
@@ -182,8 +211,8 @@ def eval_cmd(spec: str, label: str, etahat: float | None,
 
 @main.command()
 @click.option("--loss", "spec", required=True)
-@click.option("--eta", type=float, required=True)
-@click.option("--etahat", type=float, default=None)
+@click.option("--eta", type=FINITE, required=True)
+@click.option("--etahat", type=FINITE, default=None)
 @click.option("--bayes", "want_bayes", is_flag=True, help="conditional Bayes risk at eta")
 @click.option("--regret", "want_regret", is_flag=True, help="regret instead of risk")
 @numeric_guard
@@ -238,7 +267,7 @@ def check_proper_cmd(partials_file: str, grid_size: int, strict: bool) -> None:
 @click.option("--oracle", "use_oracle", is_flag=True,
               help="brute-force second differences instead of the slope condition")
 @click.option("--grid-size", type=int, default=999, show_default=True)
-@click.option("--tol", type=float, default=None, help="certification tolerance")
+@click.option("--tol", type=FINITE, default=None, help="certification tolerance")
 @click.option("--strict", is_flag=True, help="exit 1 when not convex")
 @numeric_guard
 def check_convexity(spec: str, use_oracle: bool, grid_size: int,
@@ -290,7 +319,7 @@ def region(link_name: str, out_path: str, grid_size: int) -> None:
 
 @main.command("check-calibration")
 @click.option("--loss", "spec", required=True)
-@click.option("--c", "threshold", type=float, required=True)
+@click.option("--c", "threshold", type=FINITE, required=True)
 @click.option("--strict", is_flag=True, help="exit 1 when not calibrated")
 @numeric_guard
 def check_calibration(spec: str, threshold: float, strict: bool) -> None:
@@ -328,11 +357,7 @@ def reconstruct_symmetric_cmd(half_file: str, side: str, grid_size: int,
     xs = np.linspace(0.01, 0.99, grid_size)
     ys = np.asarray(loss.ell_neg(xs), dtype=float)
     if out_path is not None:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["x", "ell_neg"])
-            for x, y in zip(xs, ys):
-                writer.writerow([f"{x:.17g}", f"{y:.17g}"])
+        _write_csv(out_path, ["x", "ell_neg"], xs, ys)
     _emit_json({
         "side": side,
         "fair": loss.fair,
@@ -361,7 +386,7 @@ def _parse_margin(name_spec: str) -> composite.MarginLoss:
 @main.command("margin-link")
 @click.option("--phi", "phi_spec", required=True, help="exponential | logistic | zhang:ALPHA")
 @click.option("--grid-size", type=int, default=99, show_default=True)
-@click.option("--v-max", type=float, default=8.0, show_default=True)
+@click.option("--v-max", type=FINITE, default=8.0, show_default=True)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
 @numeric_guard
 def margin_link(phi_spec: str, grid_size: int, v_max: float, out_path: str | None) -> None:
@@ -377,20 +402,16 @@ def margin_link(phi_spec: str, grid_size: int, v_max: float, out_path: str | Non
     vs = np.linspace(-v_max, v_max, grid_size)
     qs = np.asarray(link.q(vs), dtype=float)
     if out_path is not None:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["v", "q"])
-            for v, q in zip(vs, qs):
-                writer.writerow([f"{v:.17g}", f"{q:.17g}"])
+        _write_csv(out_path, ["v", "q"], vs, qs)
     _emit_json({"phi": phi_spec,
                 "table": [[float(v), float(q)] for v, q in zip(vs, qs)],
                 "out": out_path})
 
 
 @main.command("robustness")
-@click.option("--c0", type=float, default=None, help="cost-loss threshold")
+@click.option("--c0", type=FINITE, default=None, help="cost-loss threshold")
 @click.option("--weight", "weight_spec", default=None, help="weight spec (JSON)")
-@click.option("--alpha", type=float, required=True, help="label-flip rate in [0, 1/2)")
+@click.option("--alpha", type=FINITE, required=True, help="label-flip rate in [0, 1/2)")
 @numeric_guard
 def robustness_cmd(c0: float | None, weight_spec: str | None, alpha: float) -> None:
     """Label-noise non-robustness: a cost-loss interval or a weight's union."""
@@ -415,7 +436,7 @@ def surrogate_experiment_cmd() -> None:
 
 
 @main.command("regret-bound")
-@click.option("--x", "x_value", type=float, default=None, help="minimal-loss regret")
+@click.option("--x", "x_value", type=FINITE, default=None, help="minimal-loss regret")
 @click.option("--curve", is_flag=True, help="emit the whole bound curve as CSV")
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
 @click.option("--grid-size", type=int, default=999, show_default=True)
@@ -429,12 +450,8 @@ def regret_bound(x_value: float | None, curve: bool, out_path: str | None,
         if grid_size < 3:
             raise click.UsageError("grid size must be at least 3")
         xs = np.linspace(0.0, 1.0, grid_size)
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["x", "bound"])
-            for x in xs:
-                writer.writerow([f"{x:.17g}",
-                                 f"{experiments.regret_bound_invert(float(x)):.17g}"])
+        _write_csv(out_path, ["x", "bound"], xs,
+                   [experiments.regret_bound_invert(float(x)) for x in xs])
         _emit_json({"rows": grid_size, "out": out_path})
         return
     if x_value is None:

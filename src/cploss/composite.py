@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .links import Link, Rho, numeric_inverse, rho_of
-from .numerics import finite_diff, integrate
-from .proper import ProperLoss, bayes_risk, conditional_risk, regret
+from .links import Link, numeric_inverse, rho_of
+from .numerics import antiderivative, finite_diff
+from .proper import ProperLoss, _risk_terms, conditional_risk, regret
 from .weights import WeightFunction, _as_array_fn
 
 __all__ = [
@@ -28,7 +27,6 @@ __all__ = [
     "MarginLoss",
     "make_composite",
     "composite_conditional_risk",
-    "composite_bayes_risk",
     "score_gradients",
     "composite_regret",
     "reference_link",
@@ -43,11 +41,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CompositeLoss:
-    """A proper loss paired with a link, evaluable at raw scores."""
+    """A proper loss paired with a link, evaluable at raw scores.
+
+    ``rho`` is the link-adjusted weight ``w / psi'`` as a callable, or None
+    when the weight has atoms.
+    """
 
     base: ProperLoss
     link: Link
-    rho: Rho | None
+    rho: Callable | None
 
     @property
     def name(self) -> str:
@@ -66,7 +68,7 @@ class CompositeLoss:
             return self.ell_neg_v(v)
         raise ValueError(f"label must be +1 or -1, got {y!r}")
 
-    def require_rho(self) -> Rho:
+    def require_rho(self) -> Callable:
         if self.rho is None:
             raise ValueError(
                 f"{self.name}: rho is unavailable (weight has atoms); "
@@ -85,10 +87,7 @@ class MarginLoss:
     def dphi(self, v):
         if self.phi_prime is not None:
             return self.phi_prime(v)
-        vs = np.atleast_1d(np.asarray(v, dtype=float))
-        out = np.array([finite_diff(lambda t: float(self.phi(np.asarray(t))), x, 1)
-                        for x in vs])
-        return out.reshape(np.shape(v)) if np.ndim(v) else float(out[0])
+        return finite_diff(self.phi, v, 1)
 
 
 def make_composite(base: ProperLoss, link: Link) -> CompositeLoss:
@@ -110,8 +109,11 @@ def composite_conditional_risk(cl: CompositeLoss, eta: float, v: float):
     return conditional_risk(cl.base, eta, cl.link.q(v))
 
 
-def composite_bayes_risk(cl: CompositeLoss, eta: float) -> float:
-    return bayes_risk(cl.base, eta)
+def _pointwise_risk(loss, eta, preds):
+    """Conditional risk at predictions: scores for a composite, probabilities otherwise."""
+    if isinstance(loss, CompositeLoss):
+        return _risk_terms(loss.base, eta, loss.link.q(preds))
+    return _risk_terms(loss, eta, preds)
 
 
 def score_gradients(cl: CompositeLoss, v: float) -> tuple[float, float]:
@@ -147,28 +149,10 @@ def _link_from_q(q: Callable, v_range: tuple[float, float], name: str) -> Link:
         warnings.warn(f"{name}: inverse link has flat spots; link may be non-unique",
                       RuntimeWarning)
 
-    @lru_cache(maxsize=65536)
-    def psi_scalar(x: float) -> float:
-        a, b = lo, hi
-        for _ in range(120):
-            mid = 0.5 * (a + b)
-            if float(q(np.asarray(mid))) < x:
-                a = mid
-            else:
-                b = mid
-            if b - a <= 1e-13 * max(1.0, abs(mid)):
-                break
-        return 0.5 * (a + b)
-
-    psi = _as_array_fn(np.vectorize(psi_scalar, otypes=[float]))
+    psi = numeric_inverse(q, tol=1e-13, domain=(lo, hi))
 
     def psi_prime(x):
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        vs = np.asarray(psi(xs), dtype=float)
-        qp = np.array([finite_diff(lambda t: float(q(np.asarray(t))), v, 1, h=1e-6)
-                       for v in vs])
-        out = 1.0 / qp
-        return out.reshape(np.shape(x)) if np.ndim(x) else float(out[0])
+        return 1.0 / finite_diff(q, psi(x), 1, h=1e-6)
 
     return Link(psi=psi, psi_prime=_as_array_fn(psi_prime), q=_as_array_fn(q),
                 range=(lo, hi), name=name)
@@ -252,8 +236,7 @@ def composite_from_margin(m: MarginLoss,
         strictly_proper=True,
         name=f"proper({m.name})",
     )
-    return CompositeLoss(base=base, link=link,
-                         rho=Rho(_as_array_fn(rho_fn), name=f"rho({m.name})"))
+    return CompositeLoss(base=base, link=link, rho=_as_array_fn(rho_fn))
 
 
 def exponential_margin() -> MarginLoss:
@@ -319,27 +302,17 @@ def duality_residual(W: Callable, x: float, y: float,
     if W_inv is None:
         W_inv = numeric_inverse(Wf)
     if Wbar is None:
-        @lru_cache(maxsize=4096)
-        def _wbar(t: float) -> float:
-            return integrate(Wf, 0.5, t) if t >= 0.5 else -integrate(Wf, t, 0.5)
-
-        Wbar_eval = _wbar
-    else:
-        Wbar_eval = lambda t: float(Wbar(np.asarray(t)))
-    base = float(Wf(np.asarray(0.5)))
+        Wbar = antiderivative(Wf, 0.5)
     if dual_antideriv is None:
-        @lru_cache(maxsize=4096)
-        def _dual(u: float) -> float:
-            return integrate(W_inv, base, u) if u >= base else -integrate(W_inv, u, base)
+        dual_antideriv = antiderivative(W_inv, float(Wf(np.asarray(0.5))))
 
-        dual_eval = _dual
-    else:
-        dual_eval = lambda u: float(dual_antideriv(np.asarray(u)))
+    def at(fn, t: float) -> float:
+        return float(fn(np.asarray(t)))
 
     x = float(x)
     y = float(y)
-    Wx = float(Wf(np.asarray(x)))
-    Wy = float(Wf(np.asarray(y)))
-    lhs = Wbar_eval(x) - Wbar_eval(y) - (x - y) * Wy
-    rhs = dual_eval(Wy) - dual_eval(Wx) - (Wy - Wx) * float(W_inv(np.asarray(Wx)))
+    Wx = at(Wf, x)
+    Wy = at(Wf, y)
+    lhs = at(Wbar, x) - at(Wbar, y) - (x - y) * Wy
+    rhs = at(dual_antideriv, Wy) - at(dual_antideriv, Wx) - (Wy - Wx) * at(W_inv, Wx)
     return abs(lhs - rhs)

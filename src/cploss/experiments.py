@@ -15,14 +15,14 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .composite import CompositeLoss
+from .composite import _pointwise_risk
 from .numerics import MinimizeResult, QuadratureSpec, integrate, lambert_w0, minimize_scalar
-from .proper import ProperLoss, bayes_risk, catalog_loss
+from .proper import ProperLoss, bayes_risk, catalog_loss, from_weight
 from .weights import catalog_weight, _as_array_fn
 
 __all__ = [
@@ -51,12 +51,9 @@ class Experiment:
     """Conditional probability eta on [0,1] under the uniform marginal."""
 
     eta: Callable
-    marginal: str = "uniform"
     name: str = "experiment"
 
     def __post_init__(self):
-        if self.marginal != "uniform":
-            raise ValueError("only the uniform marginal is supported")
         xs = np.linspace(0.0, 1.0, 41)
         vals = np.asarray(self.eta(xs), dtype=float)
         if np.any(vals < -1e-12) or np.any(vals > 1.0 + 1e-12):
@@ -81,17 +78,6 @@ def quadratic_experiment() -> Experiment:
 def affine_experiment() -> Experiment:
     return Experiment(eta=_as_array_fn(lambda x: 1.0 / 3.0 + np.asarray(x, dtype=float) / 3.0),
                       name="eta2")
-
-
-def _pointwise_risk(loss, etas: np.ndarray, preds: np.ndarray) -> np.ndarray:
-    if isinstance(loss, CompositeLoss):
-        preds = np.asarray(loss.link.q(preds), dtype=float)
-        loss = loss.base
-    with np.errstate(all="ignore"):
-        lp = np.asarray(loss.ell_pos(preds), dtype=float)
-        ln_ = np.asarray(loss.ell_neg(preds), dtype=float)
-        return (np.where(etas > 0.0, etas * lp, 0.0)
-                + np.where(etas < 1.0, (1.0 - etas) * ln_, 0.0))
 
 
 def full_risk(exp: Experiment, loss, h: Callable,
@@ -165,36 +151,9 @@ def minimal_loss() -> ProperLoss:
 
     Partial losses are piecewise: linear on the half where the weight rides
     the 1/(2(1-c)) or 1/(2c) envelope and logarithmic on the other half.
+    The name ``minimal`` selects the closed form in :func:`regret_bound_rhs`.
     """
-    log_half = math.log(0.5)
-
-    def ell_neg(e):
-        e = np.asarray(e, dtype=float)
-        with np.errstate(all="ignore"):
-            low = -e - np.log1p(-np.minimum(e, 1.0 - 1e-300))
-            high = e - 1.0 - log_half
-        return 0.5 * np.where(e < 0.5, low, high)
-
-    def ell_pos(e):
-        e = np.asarray(e, dtype=float)
-        with np.errstate(all="ignore"):
-            low = -e - log_half
-            high = e - 1.0 - np.log(np.maximum(e, 1e-300))
-        return 0.5 * np.where(e < 0.5, low, high)
-
-    wf = catalog_weight("minimal")
-    return ProperLoss(
-        ell_pos=_as_array_fn(ell_pos),
-        ell_neg=_as_array_fn(ell_neg),
-        weight=wf,
-        fair=True,
-        strictly_proper=True,
-        ell_pos_prime=_as_array_fn(lambda e: -(1.0 - np.asarray(e, dtype=float))
-                                   * np.asarray(wf.w(e), dtype=float)),
-        ell_neg_prime=_as_array_fn(lambda e: np.asarray(e, dtype=float)
-                                   * np.asarray(wf.w(e), dtype=float)),
-        name="minimal",
-    )
+    return replace(from_weight(catalog_weight("minimal")), name="minimal")
 
 
 def regret_bound_rhs(alpha_reg: float, loss: ProperLoss | None = None) -> float:

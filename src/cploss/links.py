@@ -22,7 +22,6 @@ from .weights import WeightFunction, _as_array_fn, synthesize_antiderivatives
 
 __all__ = [
     "Link",
-    "Rho",
     "catalog_link",
     "canonical_link",
     "rho_of",
@@ -41,7 +40,6 @@ class Link:
     psi_prime: Callable
     q: Callable
     psi_second: Callable | None = None
-    q_prime: Callable | None = None
     range: tuple[float, float] = (-math.inf, math.inf)
     name: str = "custom"
 
@@ -58,59 +56,52 @@ class Link:
         return (lo - tol) <= v <= (hi + tol)
 
 
-@dataclass(frozen=True)
-class Rho:
-    """Link-adjusted weight rho = w / psi', the intrinsic composite parametrisation."""
-
-    fn: Callable
-    name: str = "rho"
-
-    def __call__(self, x):
-        return self.fn(x)
-
-
-def rho_of(wf: WeightFunction, link: Link) -> Rho:
-    """rho(x) = w(x) / psi'(x); rejects weights with atoms."""
+def rho_of(wf: WeightFunction, link: Link) -> Callable:
+    """rho(x) = w(x) / psi'(x), the link-adjusted weight; rejects weights with atoms."""
     if wf.has_atoms:
         raise ValueError("rho is undefined for weights with atoms")
     if wf.w is link.psi_prime:
         # canonical pairing shares the very same function object
-        return Rho(_as_array_fn(lambda x: np.ones_like(np.asarray(x, dtype=float))),
-                   name=f"rho({wf.name},{link.name})")
-    return Rho(
-        _as_array_fn(lambda x: np.asarray(wf.w(x), dtype=float)
-                     / np.asarray(link.psi_prime(x), dtype=float)),
-        name=f"rho({wf.name},{link.name})",
-    )
+        return _as_array_fn(lambda x: np.ones_like(np.asarray(x, dtype=float)))
+    return _as_array_fn(lambda x: np.asarray(wf.w(x), dtype=float)
+                        / np.asarray(link.psi_prime(x), dtype=float))
 
 
 def numeric_inverse(psi: Callable, tol: float = 1e-12,
                     domain: tuple[float, float] = (1e-15, 1.0 - 1e-15)) -> Callable:
-    """Invert a strictly increasing map on (0,1) by safeguarded bisection."""
-    from functools import lru_cache
+    """Invert a strictly increasing map on ``domain`` by bisection, array-wide.
 
-    @lru_cache(maxsize=65536)
-    def q_scalar(v: float) -> float:
-        lo, hi = domain
-        flo = float(psi(np.asarray(lo)))
-        fhi = float(psi(np.asarray(hi)))
-        if v <= flo:
-            return lo
-        if v >= fhi:
-            return hi
+    Every point halves its own bracket in step with the others and stops
+    once ``hi - lo <= tol * max(1, |mid|)`` (at most 200 halvings); only the
+    points still open are passed to ``psi``.  ``psi`` at the domain ends is
+    evaluated once, here, and scores at or beyond those values clamp to the
+    domain ends.  ``psi`` must accept ndarrays.
+    """
+    lo0, hi0 = domain
+    flo = float(psi(np.asarray(lo0)))
+    fhi = float(psi(np.asarray(hi0)))
+
+    def q(v):
+        v = np.asarray(v, dtype=float)
+        out = np.where(v <= flo, lo0, hi0).ravel()
+        idx = np.flatnonzero(~(v <= flo) & ~(v >= fhi))
+        target = v.ravel()[idx]
+        lo = np.full(idx.size, lo0)
+        hi = np.full(idx.size, hi0)
         for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            fm = float(psi(np.asarray(mid)))
-            if fm < v:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= tol * max(1.0, abs(mid)):
+            if idx.size == 0:
                 break
-        return 0.5 * (lo + hi)
+            mid = 0.5 * (lo + hi)
+            below = np.asarray(psi(mid), dtype=float) < target
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+            done = hi - lo <= tol * np.maximum(1.0, np.abs(mid))
+            out[idx[done]] = 0.5 * (lo[done] + hi[done])
+            idx, target, lo, hi = idx[~done], target[~done], lo[~done], hi[~done]
+        out[idx] = 0.5 * (lo + hi)
+        return out.reshape(v.shape)
 
-    vec = np.vectorize(q_scalar, otypes=[float])
-    return _as_array_fn(vec)
+    return _as_array_fn(q)
 
 
 def _identity() -> Link:
@@ -119,7 +110,6 @@ def _identity() -> Link:
         psi_prime=_as_array_fn(lambda x: np.ones_like(x)),
         psi_second=_as_array_fn(lambda x: np.zeros_like(x)),
         q=_as_array_fn(lambda v: v),
-        q_prime=_as_array_fn(lambda v: np.ones_like(v)),
         range=(0.0, 1.0),
         name="identity",
     )
@@ -136,7 +126,6 @@ def _logit() -> Link:
         psi_prime=_as_array_fn(lambda x: 1.0 / (x * (1.0 - x))),
         psi_second=_as_array_fn(lambda x: (2.0 * x - 1.0) / (x * (1.0 - x)) ** 2),
         q=_as_array_fn(q),
-        q_prime=_as_array_fn(lambda v: q(v) * (1.0 - q(v))),
         name="logit",
     )
 
@@ -156,7 +145,6 @@ def _cll() -> Link:
         psi_prime=_as_array_fn(psi_prime),
         psi_second=_as_array_fn(psi_second),
         q=_as_array_fn(lambda v: -np.expm1(-np.exp(v))),
-        q_prime=_as_array_fn(lambda v: np.exp(v - np.exp(v))),
         name="cll",
     )
 
@@ -167,7 +155,6 @@ def _square_link() -> Link:
         psi_prime=_as_array_fn(lambda x: 2.0 * x),
         psi_second=_as_array_fn(lambda x: 2.0 * np.ones_like(x)),
         q=_as_array_fn(lambda v: np.sqrt(np.maximum(v, 0.0))),
-        q_prime=_as_array_fn(lambda v: 0.5 / np.sqrt(np.maximum(v, 1e-300))),
         range=(0.0, 1.0),
         name="square-link",
     )
@@ -179,7 +166,6 @@ def _cosine() -> Link:
         psi_prime=_as_array_fn(lambda x: np.pi * np.sin(np.pi * x)),
         psi_second=_as_array_fn(lambda x: np.pi ** 2 * np.cos(np.pi * x)),
         q=_as_array_fn(lambda v: np.arccos(np.clip(1.0 - v, -1.0, 1.0)) / np.pi),
-        q_prime=_as_array_fn(lambda v: 1.0 / (np.pi * np.sqrt(np.maximum(v * (2.0 - v), 1e-300)))),
         range=(0.0, 2.0),
         name="cosine",
     )
@@ -243,7 +229,6 @@ def canonical_link(wf: WeightFunction) -> Link:
         psi_prime=wf.w,
         psi_second=wf.w_prime,
         q=q,
-        q_prime=None,
         range=(v_lo, v_hi),
         name=f"canonical({wf.name})",
     )

@@ -1,9 +1,10 @@
 """Deterministic scalar numerics used by every other module.
 
-Adaptive quadrature tolerant of integrable endpoint singularities, bracketed
-scalar minimisation, the principal branch of the Lambert W function, and
-central finite differences.  Everything here is pure and reentrant: no global
-mutable state, safe to call from multiple threads.
+Adaptive quadrature tolerant of integrable endpoint singularities, the
+anchored antiderivative built on it, bracketed scalar minimisation, the
+principal branch of the Lambert W function, and central finite differences.
+Everything here is pure and reentrant: no global mutable state, safe to call
+from multiple threads.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ __all__ = [
     "MinimizeResult",
     "DEFAULT_QUADRATURE",
     "integrate",
+    "antiderivative",
     "minimize_scalar",
     "lambert_w0",
     "finite_diff",
@@ -198,6 +200,26 @@ def integrate(f: Callable, a: float, b: float,
     return total_est
 
 
+def antiderivative(f: Callable, anchor: float) -> Callable:
+    """The map ``x -> integral of f from anchor to x``, elementwise over arrays.
+
+    Below the anchor the value is ``-integral of f from x to anchor``, so the
+    sign follows the orientation of the interval and the value at the anchor
+    itself is +0.0.  ``f`` must accept ndarrays (see :func:`integrate`); each
+    evaluation point costs one adaptive quadrature.
+    """
+    anchor = float(anchor)
+
+    def F(x):
+        xs = np.asarray(x, dtype=float)
+        out = np.empty(xs.shape)
+        for i, t in np.ndenumerate(xs):
+            out[i] = integrate(f, anchor, t) if t >= anchor else -integrate(f, t, anchor)
+        return out
+
+    return F
+
+
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -346,15 +368,24 @@ def lambert_w0(z: float) -> float:
     return w
 
 
-def finite_diff(f: Callable[[float], float], x: float, order: int = 1,
-                h: float | None = None) -> float:
-    """Central finite-difference estimate of f' or f'' at ``x``."""
+def finite_diff(f: Callable, x, order: int = 1, h=None):
+    """Central finite-difference estimate of f' or f'' at ``x``.
+
+    A scalar ``x`` gives a float.  An ndarray ``x`` needs an ``f`` that maps
+    arrays elementwise and gives an array of its shape, with the default
+    step ``1e-5 * max(1, |x|)`` taken per point.
+    """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
+    scalar = np.ndim(x) == 0
+    x = np.asarray(x, dtype=float)
     if h is None:
-        h = 1e-5 * max(1.0, abs(x))
-    if h <= 0:
+        h = 1e-5 * np.maximum(1.0, np.abs(x))
+    if np.any(np.asarray(h) <= 0):
         raise ValueError("h must be positive")
+    ev = lambda t: np.asarray(f(t), dtype=float)
     if order == 1:
-        return (float(f(x + h)) - float(f(x - h))) / (2.0 * h)
-    return (float(f(x + h)) - 2.0 * float(f(x)) + float(f(x - h))) / (h * h)
+        d = (ev(x + h) - ev(x - h)) / (2.0 * h)
+    else:
+        d = (ev(x + h) - 2.0 * ev(x) + ev(x - h)) / (h * h)
+    return float(d) if scalar else d

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .numerics import IntegrationError, finite_diff, integrate
+from .numerics import IntegrationError, antiderivative, finite_diff, integrate
 from .weights import (
     WeightFunction,
     _as_array_fn,
@@ -57,8 +56,6 @@ class ProperLoss:
 
     ``ell_pos`` is the penalty for predicting ``etahat`` when the label is
     positive, ``ell_neg`` for the negative label.  Both accept ndarrays.
-    Derivative callables are closed forms when known, else None (consumers
-    fall back to finite differences).
     """
 
     ell_pos: Callable
@@ -66,8 +63,6 @@ class ProperLoss:
     weight: WeightFunction
     fair: bool = True
     strictly_proper: bool = True
-    ell_pos_prime: Callable | None = None
-    ell_neg_prime: Callable | None = None
     name: str = "proper-loss"
 
     def ell(self, y: int, etahat):
@@ -180,18 +175,13 @@ def from_weight(wf: WeightFunction) -> ProperLoss:
                 term = np.where(e > 0.0, e * We, 0.0)
             return wbar0 - np.asarray(Wbar(e), dtype=float) + term
     else:
+        # ell_pos(e) = integral of (1-c) w(c) over [e, 1], written as the
+        # antiderivative of -(1-c) w anchored at 1; ell_neg(e) = integral of
+        # c w(c) over [0, e].
         w = wf.w
-
-        @lru_cache(maxsize=4096)
-        def _pos_scalar(e: float) -> float:
-            return integrate(lambda c: (1.0 - c) * np.asarray(w(c), dtype=float), e, 1.0)
-
-        @lru_cache(maxsize=4096)
-        def _neg_scalar(e: float) -> float:
-            return integrate(lambda c: c * np.asarray(w(c), dtype=float), 0.0, e)
-
-        continuous_pos = np.vectorize(_pos_scalar, otypes=[float])
-        continuous_neg = np.vectorize(_neg_scalar, otypes=[float])
+        continuous_pos = antiderivative(
+            lambda c: -(1.0 - c) * np.asarray(w(c), dtype=float), 1.0)
+        continuous_neg = antiderivative(lambda c: c * np.asarray(w(c), dtype=float), 0.0)
 
     def ell_pos(etahat):
         e = np.asarray(etahat, dtype=float)
@@ -211,22 +201,12 @@ def from_weight(wf: WeightFunction) -> ProperLoss:
             total = total + m * c * (e >= c)
         return total
 
-    if atoms:
-        dpos = dneg = None
-    else:
-        dpos = _as_array_fn(lambda e: -(1.0 - np.asarray(e, dtype=float))
-                            * np.asarray(wf.w(e), dtype=float))
-        dneg = _as_array_fn(lambda e: np.asarray(e, dtype=float)
-                            * np.asarray(wf.w(e), dtype=float))
-
     loss = ProperLoss(
         ell_pos=_as_array_fn(ell_pos),
         ell_neg=_as_array_fn(ell_neg),
         weight=wf,
         fair=True,
         strictly_proper=_dyadic_strictness(wf),
-        ell_pos_prime=dpos,
-        ell_neg_prime=dneg,
         name=f"loss({wf.name})",
     )
     loss.validate()
@@ -248,33 +228,40 @@ def catalog_loss(name: str, params: dict | None = None) -> ProperLoss:
     return from_weight(catalog_weight(name, params))
 
 
-def _risk_terms(loss, eta: float, etahat):
-    lp = np.asarray(loss.ell_pos(etahat), dtype=float)
-    ln_ = np.asarray(loss.ell_neg(etahat), dtype=float)
+def _risk_terms(loss, eta, etahat):
+    """eta*ell_pos(etahat) + (1-eta)*ell_neg(etahat), elementwise over arrays.
+
+    A term whose probability weight is zero is dropped before multiplying,
+    so a perfect deterministic prediction never produces 0*inf.  No range
+    checks: callers validate what comes from outside.
+    """
+    eta = np.asarray(eta, dtype=float)
     with np.errstate(all="ignore"):
-        pos = eta * lp if eta > 0 else np.zeros_like(lp)
-        neg = (1.0 - eta) * ln_ if eta < 1 else np.zeros_like(ln_)
-    return pos + neg
+        lp = np.asarray(loss.ell_pos(etahat), dtype=float)
+        ln_ = np.asarray(loss.ell_neg(etahat), dtype=float)
+        return (np.where(eta > 0.0, eta * lp, 0.0)
+                + np.where(eta < 1.0, (1.0 - eta) * ln_, 0.0))
 
 
-def conditional_risk(loss, eta: float, etahat):
+def conditional_risk(loss, eta, etahat):
     """Expected loss eta*ell_pos(etahat) + (1-eta)*ell_neg(etahat).
 
     Terms with zero probability weight are dropped before multiplying, so a
-    perfect deterministic prediction never produces 0*inf.
+    perfect deterministic prediction never produces 0*inf.  ``eta`` and
+    ``etahat`` broadcast; the result is a float when both are scalars.
     """
-    eta = float(eta)
-    if not 0.0 <= eta <= 1.0:
+    eta = np.asarray(eta, dtype=float)
+    if not np.all((eta >= 0.0) & (eta <= 1.0)):
         raise ValueError(f"eta must lie in [0,1], got {eta}")
     e = np.asarray(etahat, dtype=float)
     if np.any(e < 0.0) or np.any(e > 1.0):
         raise ValueError("etahat must lie in [0,1]")
     out = _risk_terms(loss, eta, e)
-    return float(out) if np.isscalar(etahat) or np.ndim(etahat) == 0 else out
+    return float(out) if np.ndim(out) == 0 else out
 
 
-def bayes_risk(loss, eta: float) -> float:
-    """Conditional risk of the honest prediction etahat = eta."""
+def bayes_risk(loss, eta):
+    """Conditional risk of the honest prediction etahat = eta (elementwise)."""
     return conditional_risk(loss, eta, eta)
 
 
@@ -353,7 +340,7 @@ def weight_from_loss(loss, grid: Sequence[float] | None = None,
     if grid is None:
         grid = np.linspace(1.0 / 512.0, 511.0 / 512.0, 511)
     grid = np.asarray(grid, dtype=float)
-    est = np.array([-finite_diff(lambda t: bayes_risk(loss, t), x, 2, h=h) for x in grid])
+    est = -finite_diff(lambda t: bayes_risk(loss, t), grid, 2, h=h)
     scale = max(1.0, float(np.nanmax(np.abs(est))))
     if np.any(est < -1e-3 * scale):
         raise ImpropernessError("negative weight estimate: loss is not proper")
@@ -361,15 +348,17 @@ def weight_from_loss(loss, grid: Sequence[float] | None = None,
     return tabulated_weight(np.column_stack([grid, est]), name=f"weight({loss.name})")
 
 
-def _half_derivative(half: Callable, lo: float, hi: float) -> Callable[[float], float]:
-    # Central difference with the stencil clamped inside [lo, hi].
-    def d(t: float) -> float:
-        room = min(t - lo, hi - t)
-        h = min(1e-5, 0.45 * room) if room > 0 else 0.0
-        if h <= 0:
-            h = 1e-7
-            return (float(half(np.asarray(t))) - float(half(np.asarray(t - h)))) / h
-        return (float(half(np.asarray(t + h))) - float(half(np.asarray(t - h)))) / (2.0 * h)
+def _half_derivative(half: Callable, lo: float, hi: float) -> Callable:
+    # Central difference with the stencil clamped inside [lo, hi]; a point
+    # at or beyond an end of [lo, hi] takes a backward step of 1e-7.
+    def d(t):
+        t = np.asarray(t, dtype=float)
+        h = np.minimum(1e-5, 0.45 * np.minimum(t - lo, hi - t))
+        edge = ~(h > 0)
+        h = np.where(edge, 1e-7, h)
+        upper = np.where(edge, t, t + h)
+        return ((np.asarray(half(upper), dtype=float) - np.asarray(half(t - h), dtype=float))
+                / np.where(edge, h, 2.0 * h))
 
     return d
 
@@ -397,29 +386,25 @@ def reconstruct_symmetric(half: Callable, side: str,
     dhalf = _half_derivative(half, *dom)
 
     def integrand(x):
-        xs = np.asarray(x, dtype=float)
-        vals = np.array([dhalf(1.0 - xi) for xi in np.atleast_1d(xs)])
-        ratio = np.atleast_1d(xs) / (1.0 - np.atleast_1d(xs))
-        out = ratio * vals
-        return out.reshape(np.shape(xs)) if np.ndim(xs) else float(out[0])
+        x = np.asarray(x, dtype=float)
+        return (x / (1.0 - x)) * dhalf(1.0 - x)
 
-    @lru_cache(maxsize=4096)
-    def reconstructed(e: float) -> float:
-        if e >= 0.5:
-            return anchor + integrate(integrand, 0.5, e)
-        return anchor - integrate(integrand, e, 0.5)
+    completion = antiderivative(integrand, 0.5)
 
-    in_given = (lambda e: e <= 0.5) if side == "lower" else (lambda e: e >= 0.5)
+    def ell_neg(e):
+        e = np.asarray(e, dtype=float)
+        given = (e <= 0.5) if side == "lower" else (e >= 0.5)
+        out = np.empty(e.shape)
+        out[given] = half(e[given])
+        out[~given] = anchor + completion(e[~given])
+        return out
 
-    def ell_neg_scalar(e: float) -> float:
-        return float(half(np.asarray(e))) if in_given(e) else reconstructed(float(e))
-
-    ell_neg = _as_array_fn(np.vectorize(ell_neg_scalar, otypes=[float]))
+    ell_neg = _as_array_fn(ell_neg)
     ell_pos = _as_array_fn(lambda e: ell_neg(1.0 - np.asarray(e, dtype=float)))
 
     # Properness probe: the implied weight ell_neg'(e)/e must be nonnegative.
     probe = np.linspace(0.02, 0.98, 49)
-    dneg = np.array([finite_diff(lambda t: float(ell_neg(np.asarray(t))), x, 1) for x in probe])
+    dneg = finite_diff(ell_neg, probe, 1)
     w_est = dneg / probe
     if np.any(w_est < -1e-6 * max(1.0, float(np.max(np.abs(w_est))))):
         raise ImpropernessError("reconstructed loss has negative implied weight")

@@ -17,7 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .composite import CompositeLoss
+from .composite import _pointwise_risk
+from .proper import _risk_terms
 from .weights import WeightFunction
 
 __all__ = [
@@ -70,36 +71,13 @@ class NoisyLoss:
         return self.ell(-1, v)
 
     def conditional_risk(self, eta: float, v):
-        eta = float(eta)
-        with np.errstate(all="ignore"):
-            lp = np.asarray(self.ell_pos(v), dtype=float)
-            ln_ = np.asarray(self.ell_neg(v), dtype=float)
-            pos = eta * lp if eta > 0 else np.zeros_like(lp)
-            neg = (1.0 - eta) * ln_ if eta < 1 else np.zeros_like(ln_)
-        out = pos + neg
+        out = _risk_terms(self, float(eta), v)
         return float(out) if np.ndim(v) == 0 else out
 
 
 def noisy_loss(cl, alpha: float) -> NoisyLoss:
     """Mixture loss whose risk on clean eta equals the clean risk on eta_alpha."""
     return NoisyLoss(base=cl, alpha=_check_alpha(alpha))
-
-
-def _grid_risks(loss, eta: float, grid: np.ndarray) -> np.ndarray:
-    if hasattr(loss, "conditional_risk"):
-        return np.asarray(loss.conditional_risk(eta, grid), dtype=float)
-    if isinstance(loss, CompositeLoss):
-        preds = np.asarray(loss.link.q(grid), dtype=float)
-        base = loss.base
-    else:
-        preds = grid
-        base = loss
-    with np.errstate(all="ignore"):
-        lp = np.asarray(base.ell_pos(preds), dtype=float)
-        ln_ = np.asarray(base.ell_neg(preds), dtype=float)
-        pos = eta * lp if eta > 0 else np.zeros_like(lp)
-        neg = (1.0 - eta) * ln_ if eta < 1 else np.zeros_like(ln_)
-    return pos + neg
 
 
 def minimizer_set(loss, eta: float, grid: Sequence[float],
@@ -111,7 +89,7 @@ def minimizer_set(loss, eta: float, grid: Sequence[float],
     strictly proper losses give a near-singleton.
     """
     grid = np.asarray(grid, dtype=float)
-    risks = _grid_risks(loss, float(eta), grid)
+    risks = _pointwise_risk(loss, float(eta), grid)
     m = float(np.min(risks))
     if slack is None:
         slack = 1e-12 * (1.0 + abs(m))

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import finite_diff, integrate
+from .numerics import antiderivative, finite_diff
 
 __all__ = [
     "WeightFunction",
@@ -51,9 +51,9 @@ class WeightFunction:
     w : callable
         Continuous part of the weight; must accept ndarrays.
     w_prime, W, Wbar : callable, optional
-        Derivative of ``w`` and the antiderivatives of ``w`` and ``W``.
-        Any antiderivative constant is acceptable: every consumer is
-        invariant to it.
+        Derivative of ``w`` and the antiderivatives of ``w`` and ``W``; like
+        ``w`` they must accept ndarrays.  Any antiderivative constant is
+        acceptable: every consumer is invariant to it.
     atoms : sequence of (location, mass)
         Point masses in (0, 1) with positive mass.
     """
@@ -84,20 +84,17 @@ class WeightFunction:
         if not np.isfinite(mass):
             raise ValueError(f"weight {self.name!r} has non-integrable interior mass")
         # Supplied antiderivatives must differentiate back to their integrands.
-        if self.W is not None:
-            for x in _CHECK_GRID:
-                got = finite_diff(lambda t: float(self.W(np.asarray(t))), float(x), 1)
-                want = float(self.w(np.asarray(x)))
-                if abs(got - want) > 1e-6 * max(1.0, abs(want)):
-                    raise ValueError(f"W inconsistent with w for {self.name!r} at x={x}")
-        if self.Wbar is not None:
-            if self.W is None:
-                raise ValueError("Wbar supplied without W")
-            for x in _CHECK_GRID:
-                got = finite_diff(lambda t: float(self.Wbar(np.asarray(t))), float(x), 1)
-                want = float(self.W(np.asarray(x)))
-                if abs(got - want) > 1e-6 * max(1.0, abs(want)):
-                    raise ValueError(f"Wbar inconsistent with W for {self.name!r} at x={x}")
+        if self.Wbar is not None and self.W is None:
+            raise ValueError("Wbar supplied without W")
+        for F, f, label in ((self.W, self.w, "W inconsistent with w"),
+                            (self.Wbar, self.W, "Wbar inconsistent with W")):
+            if F is None:
+                continue
+            got = finite_diff(F, _CHECK_GRID, 1)
+            want = np.asarray(f(_CHECK_GRID), dtype=float)
+            bad = np.abs(got - want) > 1e-6 * np.maximum(1.0, np.abs(want))
+            if bad.any():
+                raise ValueError(f"{label} for {self.name!r} at x={_CHECK_GRID[bad][0]}")
 
     @property
     def has_atoms(self) -> bool:
@@ -209,20 +206,21 @@ def _zero_w(c):
     return np.zeros_like(np.asarray(c, dtype=float))
 
 
+def _interpolant(table: np.ndarray) -> Callable:
+    """Piecewise-linear interpolant of the rows ``(x, y)`` of a two-column array."""
+    order = np.argsort(table[:, 0])
+    xs, ys = table[order, 0], table[order, 1]
+    return _as_array_fn(lambda t: np.interp(t, xs, ys))
+
+
 def tabulated_weight(table: Sequence[Sequence[float]], name: str = "custom-tabulated") -> WeightFunction:
     """Weight from a table of ``(c, w(c))`` pairs, linearly interpolated."""
     arr = np.asarray(table, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:
         raise ValueError("table must be a sequence of at least two (c, w) pairs")
-    order = np.argsort(arr[:, 0])
-    cs, ws = arr[order, 0], arr[order, 1]
-    if np.any(ws < 0):
+    if np.any(arr[:, 1] < 0):
         raise ValueError("tabulated weight values must be nonnegative")
-
-    def w(c):
-        return np.interp(np.asarray(c, dtype=float), cs, ws)
-
-    return WeightFunction(w=_as_array_fn(w), name=name)
+    return WeightFunction(w=_interpolant(arr), name=name)
 
 
 WEIGHT_CATALOG_INFO: dict[str, str] = {
@@ -298,23 +296,6 @@ def synthesize_antiderivatives(wf: WeightFunction) -> WeightFunction:
         return wf
     if wf.is_pure_atomic:
         raise ValueError("cannot synthesize antiderivatives for a purely atomic weight")
-    base = wf
-    W = wf.W
-    if W is None:
-        def W_scalar(t: float) -> float:
-            t = float(t)
-            if t >= 0.5:
-                return integrate(base.w, 0.5, t)
-            return -integrate(base.w, t, 0.5)
-
-        W = _as_array_fn(np.vectorize(W_scalar, otypes=[float]))
-    Wfn = W
-
-    def Wbar_scalar(t: float) -> float:
-        t = float(t)
-        if t >= 0.5:
-            return integrate(Wfn, 0.5, t)
-        return -integrate(Wfn, t, 0.5)
-
-    Wbar = _as_array_fn(np.vectorize(Wbar_scalar, otypes=[float]))
+    W = wf.W if wf.W is not None else _as_array_fn(antiderivative(wf.w, 0.5))
+    Wbar = _as_array_fn(antiderivative(W, 0.5))
     return replace(wf, W=W, Wbar=Wbar)

@@ -1,5 +1,7 @@
 """Properness test, convexity certification (both routes), regions, calibration."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -243,3 +245,19 @@ class TestCalibration:
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             calibration_cc(catalog_loss("square"), 0.0)
+
+
+def test_oracle_inverts_the_score_grid_once():
+    calls = []
+    logit = catalog_link("logit")
+
+    def q(v):
+        calls.append(np.size(v))
+        return logit.q(v)
+
+    cl = make_composite(catalog_loss("log"), replace(logit, q=q))
+    vs = np.asarray(logit.psi(certification_grid(99)), dtype=float)
+    calls.clear()
+    report = convexity_oracle(cl, vs)
+    assert report.convex
+    assert calls == [len(vs)]

@@ -291,5 +291,44 @@ class TestSurrogateExperimentCommand:
         assert a == b
 
 
+LOG = '{"weight":{"name":"log"}}'
+LOG_LOGIT = '{"weight":{"name":"log"},"link":{"name":"logit"}}'
+SQUARE = '{"weight":{"name":"square"}}'
+FLOAT_OPTIONS = {
+    "--etahat": ["eval", "--loss", LOG, "--y", "1", "--etahat"],
+    "--v": ["eval", "--loss", LOG_LOGIT, "--y", "1", "--v"],
+    "--eta": ["risk", "--loss", SQUARE, "--bayes", "--eta"],
+    "--etahat (risk)": ["risk", "--loss", SQUARE, "--eta", "0.3", "--etahat"],
+    "--tol": ["check-convexity", "--loss", LOG_LOGIT, "--tol"],
+    "--c": ["check-calibration", "--loss", LOG, "--c"],
+    "--v-max": ["margin-link", "--phi", "logistic", "--v-max"],
+    "--c0": ["robustness", "--alpha", "0.1", "--c0"],
+    "--alpha": ["robustness", "--c0", "0.3", "--alpha"],
+    "--x": ["regret-bound", "--x"],
+}
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("option", sorted(FLOAT_OPTIONS))
+    def test_non_finite_option_is_usage_error(self, runner, option, value):
+        result = runner.invoke(main, FLOAT_OPTIONS[option] + [value])
+        assert result.exit_code == 2, result.output
+        assert "not a finite number" in result.output
+
+    def test_non_finite_result_is_numeric_failure(self, runner):
+        # the log loss of predicting 0 for a positive label is infinite
+        result = runner.invoke(main, ["eval", "--loss", LOG, "--y", "1", "--etahat", "0"])
+        assert result.exit_code == 3
+        assert "non-finite value for 'value'" in result.output
+        assert "schema" not in result.output
+
+    def test_finite_results_are_strict_json(self, runner):
+        doc = run_json(runner, ["regret-bound", "--x", "1e300"])
+        assert doc["x"] == 1e300
+        text = runner.invoke(main, ["eval", "--loss", LOG, "--y", "-1", "--etahat", "0"]).output
+        json.loads(text, parse_constant=lambda name: pytest.fail(f"non-JSON {name}"))
+
+
 def test_unknown_command_is_usage_error(runner):
     assert runner.invoke(main, ["frobnicate"]).exit_code == 2

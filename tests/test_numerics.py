@@ -1,20 +1,24 @@
-"""Quadrature, minimisation, Lambert W and finite differences.
+"""Quadrature, antiderivatives, minimisation, Lambert W and finite differences.
 
 Independent oracles: a fixed-grid composite Gauss-Legendre rule for the
 integrals and scipy for the transcendental functions.
 """
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.special
 from scipy.optimize import minimize_scalar as scipy_minimize
 
+import cploss
 from cploss.numerics import (
     IntegrationError,
     NumericsError,
     QuadratureSpec,
+    antiderivative,
     finite_diff,
     integrate,
     lambert_w0,
@@ -175,7 +179,46 @@ class TestLambertW:
             lambert_w0(-1.0)
 
 
+class TestAntiderivative:
+    def test_sign_follows_orientation_on_both_sides(self):
+        F = antiderivative(lambda c: 3.0 * c * c, 0.5)
+        xs = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
+        got = F(xs)
+        assert np.allclose(got, xs ** 3 - 0.125, rtol=0, atol=1e-14)
+        assert np.all(got[:2] < 0) and np.all(got[3:] > 0)
+
+    def test_below_anchor_is_the_negated_forward_integral(self):
+        f = lambda c: np.exp(c)
+        assert float(antiderivative(f, 0.8)(0.2)) == -integrate(f, 0.2, 0.8)
+        assert float(antiderivative(f, 0.2)(0.8)) == integrate(f, 0.2, 0.8)
+
+    def test_value_at_anchor_is_positive_zero(self):
+        F = antiderivative(lambda c: np.ones_like(c), 1.0)
+        value = float(F(1.0))
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+    def test_keeps_the_shape_of_its_argument(self):
+        F = antiderivative(lambda c: 2.0 * c, 0.0)
+        xs = np.array([[0.1, 0.2], [0.3, 0.4]])
+        assert F(xs).shape == (2, 2)
+        assert np.allclose(F(xs), xs ** 2, rtol=0, atol=1e-14)
+        assert np.ndim(F(0.5)) == 0
+
+
 class TestFiniteDiff:
+    def test_array_argument_matches_pointwise_calls(self):
+        f = lambda t: t * t * t - 2.0 * t
+        xs = np.array([-3.0, -0.2, 0.0, 0.4, 2.5, 40.0])
+        for order in (1, 2):
+            got = finite_diff(f, xs, order)
+            want = np.array([finite_diff(f, float(x), order) for x in xs])
+            assert got.shape == xs.shape
+            assert np.array_equal(got, want)
+
+    def test_array_argument_with_fixed_step(self):
+        xs = np.linspace(0.1, 0.9, 5)
+        assert np.allclose(finite_diff(np.sin, xs, 1, h=1e-6), np.cos(xs), rtol=0, atol=1e-9)
+
     def test_first_order_exact_for_quadratics(self):
         assert finite_diff(lambda x: x * x, 3.0, 1) == pytest.approx(6.0, abs=1e-7)
 
@@ -192,3 +235,12 @@ class TestFiniteDiff:
             finite_diff(lambda x: x, 0.0, 3)
         with pytest.raises(ValueError):
             finite_diff(lambda x: x, 0.0, 1, h=0.0)
+
+
+def test_package_has_no_memo_caches_or_vectorize_loops():
+    pattern = re.compile(r"lru_cache|np\.vectorize")
+    offenders = [f"{path.name}:{i}"
+                 for path in sorted(Path(cploss.__file__).parent.glob("*.py"))
+                 for i, line in enumerate(path.read_text().splitlines(), 1)
+                 if pattern.search(line)]
+    assert offenders == []

@@ -22,7 +22,7 @@ from cploss.proper import (
     weight_from_loss,
     zero_one_loss,
 )
-from cploss.weights import catalog_weight, tabulated_weight
+from cploss.weights import WeightFunction, catalog_weight, tabulated_weight
 
 GRID = np.linspace(0.05, 0.95, 19)
 
@@ -102,6 +102,15 @@ class TestFromWeight:
         assert math.isinf(float(loss.ell_pos(np.asarray(0.0))))
         assert float(loss.ell_neg(np.asarray(0.0))) == 0.0
 
+    def test_quadrature_partials_vanish_as_positive_zero_at_their_anchors(self):
+        loss = from_weight(WeightFunction(w=lambda c: 1.0 + np.asarray(c, dtype=float),
+                                          name="one-plus-c"))
+        for value in (float(loss.ell_pos(np.asarray(1.0))), float(loss.ell_neg(np.asarray(0.0)))):
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
+        # ell_pos(e) = integral of (1-c)(1+c) over [e, 1] = 2/3 - e + e^3/3
+        es = np.array([0.2, 0.5, 0.9])
+        assert np.allclose(loss.ell_pos(es), 2 / 3 - es + es ** 3 / 3, rtol=0, atol=1e-12)
+
 
 class TestRisks:
     def test_square_conditional_risk(self):
@@ -114,6 +123,17 @@ class TestRisks:
         for name in ["square", "log", "boosting", "minimal"]:
             assert conditional_risk(catalog_loss(name), 0.0, 0.0) == 0.0
             assert conditional_risk(catalog_loss(name), 1.0, 1.0) == 0.0
+
+    def test_array_eta_keeps_the_guard(self):
+        loss = catalog_loss("log")
+        etas = np.array([0.0, 0.5, 1.0])
+        got = conditional_risk(loss, etas, etas)
+        assert got.shape == (3,)
+        assert got[0] == 0.0 and got[2] == 0.0
+        assert got[1] == pytest.approx(math.log(2))
+        assert np.array_equal(bayes_risk(loss, etas), got)
+        with pytest.raises(ValueError):
+            conditional_risk(loss, np.array([0.2, 1.5]), 0.5)
 
     def test_range_validation(self):
         with pytest.raises(ValueError):

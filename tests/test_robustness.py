@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cploss.composite import make_composite
+from cploss.experiments import Experiment, full_risk
 from cploss.links import catalog_link
 from cploss.proper import catalog_loss, cost_loss, zero_one_loss
 from cploss.robustness import (
@@ -198,3 +199,30 @@ class TestProperNonrobustRegion:
         rep = nonrobust_region_report(catalog_weight("square"), 0.1)
         assert rep["alpha"] == 0.1
         assert rep["nonrobust_union"] == [[0.0, 1.0]]
+
+
+class TestZeroTimesInfinityGuard:
+    """A partial loss that is infinite where its label has probability zero adds nothing."""
+
+    SCORES = np.concatenate([[-800.0], np.linspace(-6.0, 6.0, 121), [800.0]])
+
+    def test_composite_minimizer_sets_at_certain_labels(self):
+        # q(-800) = 0 and q(800) = 1 exactly, where one log partial is infinite
+        cl = make_composite(catalog_loss("log"), catalog_link("logit"))
+        assert minimizer_set(cl, 0.0, self.SCORES)[0] == -800.0
+        assert minimizer_set(cl, 1.0, self.SCORES)[-1] == 800.0
+
+    def test_noisy_minimizer_set_at_a_certain_label(self):
+        # both noisy partials are infinite at the extreme scores; the clean
+        # risk at eta = 0 is the base risk at eta_alpha = 0.1
+        noisy = noisy_loss(make_composite(catalog_loss("log"), catalog_link("logit")), 0.1)
+        got = minimizer_set(noisy, 0.0, self.SCORES)
+        assert len(got) == 1 and got[0] == pytest.approx(np.log(0.1 / 0.9), abs=0.1)
+        risks = noisy.conditional_risk(0.0, self.SCORES)
+        assert np.isinf(risks[0]) and np.isinf(risks[-1])
+        assert np.all(np.isfinite(risks[1:-1]))
+
+    def test_full_risk_of_a_perfect_predictor(self):
+        step = lambda x: (np.asarray(x, dtype=float) > 0.5).astype(float)
+        exp = Experiment(eta=step, name="certain")
+        assert full_risk(exp, catalog_loss("log"), step) == 0.0

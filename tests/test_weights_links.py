@@ -198,3 +198,61 @@ class TestCanonicalLink:
 def test_numeric_inverse_helper():
     q = numeric_inverse(lambda x: np.asarray(x, dtype=float) ** 3)
     assert float(q(np.asarray(0.125))) == pytest.approx(0.5, abs=1e-10)
+
+
+def _increasing(x):
+    # (x - 1/2) / (x (1 - x)) is strictly increasing on (0, 1) and uses only
+    # correctly rounded operations, so scalar and array calls agree exactly.
+    x = np.asarray(x, dtype=float)
+    return (x - 0.5) / (x * (1.0 - x))
+
+
+def _scalar_bisection(psi, v, lo, hi, tol):
+    """Reference inverse: one point at a time, the documented stopping rule."""
+    if v <= float(psi(lo)):
+        return lo
+    if v >= float(psi(hi)):
+        return hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if float(psi(mid)) < v:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= tol * max(1.0, abs(mid)):
+            break
+    return 0.5 * (lo + hi)
+
+
+class TestNumericInverse:
+    DOMAIN = (1e-15, 1.0 - 1e-15)
+
+    @pytest.mark.parametrize("shape", [(), (9,), (3, 4)])
+    def test_matches_scalar_bisection(self, shape):
+        vs = np.linspace(-40.0, 25.0, max(1, math.prod(shape))).reshape(shape) + 0.3
+        got = np.asarray(numeric_inverse(_increasing)(vs))
+        assert got.shape == shape
+        want = np.array([_scalar_bisection(_increasing, float(v), *self.DOMAIN, 1e-12)
+                         for v in vs.ravel()]).reshape(shape)
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-15
+
+    def test_clamps_to_the_domain_ends(self):
+        q = numeric_inverse(_increasing, domain=(0.2, 0.7))
+        vs = np.array([-np.inf, -1e300, float(_increasing(0.2)), 0.0,
+                       float(_increasing(0.7)), 1e300, np.inf])
+        got = np.asarray(q(vs))
+        assert got[0] == got[1] == got[2] == 0.2
+        assert got[4] == got[5] == got[6] == 0.7
+        assert got[3] == pytest.approx(0.5, abs=1e-12)
+
+    def test_all_points_step_together(self):
+        calls = []
+
+        def psi(x):
+            calls.append(np.size(x))
+            return _increasing(x)
+
+        q = numeric_inverse(psi)
+        assert len(calls) == 2  # psi at the two domain ends, once
+        q(np.linspace(-5.0, 5.0, 1000))
+        assert len(calls) <= 2 + 60  # one array call per halving, not one per point
