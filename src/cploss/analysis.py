@@ -60,8 +60,11 @@ class ConvexityReport:
     tolerance: float = 1e-9
 
     def violation_xs(self, side: str | None = None) -> np.ndarray:
-        xs = [v[0] for v in self.violations if side is None or v[1] == side]
-        return np.asarray(xs, dtype=float)
+        if not self.violations:
+            return np.zeros(0)
+        xs, sides, _, _ = zip(*self.violations)
+        xs = np.asarray(xs, dtype=float)
+        return xs if side is None else xs[np.asarray(sides) == side]
 
     def to_json_dict(self) -> dict:
         return {
@@ -184,12 +187,14 @@ def convexity_characterization(wf: WeightFunction, link: Link,
     upper = 1.0 / (1.0 - xs)
     slack_lo = tol * np.maximum(1.0, np.maximum(np.abs(mid), np.abs(lower)))
     slack_hi = tol * np.maximum(1.0, np.maximum(np.abs(mid), np.abs(upper)))
-    violations = []
-    for i, x in enumerate(xs):
-        if mid[i] < lower[i] - slack_lo[i]:
-            violations.append((float(x), "lower", float(mid[i]), float(lower[i])))
-        if mid[i] > upper[i] + slack_hi[i]:
-            violations.append((float(x), "upper", float(mid[i]), float(upper[i])))
+    lo_i = np.nonzero(mid < lower - slack_lo)[0]
+    hi_i = np.nonzero(mid > upper + slack_hi)[0]
+    # grid order, "lower" before "upper" at a shared point
+    order = np.argsort(np.concatenate([lo_i, hi_i]), kind="stable")
+    i = np.concatenate([lo_i, hi_i])[order]
+    sides = np.repeat(["lower", "upper"], [lo_i.size, hi_i.size])[order]
+    rhs = np.concatenate([lower[lo_i], upper[hi_i]])[order]
+    violations = list(zip(xs[i].tolist(), sides.tolist(), mid[i].tolist(), rhs.tolist()))
     return ConvexityReport(convex=not violations, violations=tuple(violations),
                            method="characterization", grid_size=len(xs), tolerance=tol)
 
@@ -218,9 +223,8 @@ def convexity_oracle(cl: CompositeLoss,
         # rounding floor of a divided difference: eps * |f| / dx^2
         step = np.minimum(x1 - x0, x2 - x1)
         floor = 4e-15 * np.maximum(1.0, np.abs(f1)) / (step * step)
-        bad = dd < -(tol + floor)
-        for i in np.nonzero(bad)[0]:
-            violations.append((float(qs[i + 1]), side, float(dd[i]), 0.0))
+        i = np.nonzero(dd < -(tol + floor))[0]
+        violations += zip(qs[i + 1].tolist(), [side] * i.size, dd[i].tolist(), [0.0] * i.size)
     violations.sort()
     return ConvexityReport(convex=not violations, violations=tuple(violations),
                            method="oracle", grid_size=len(vs), tolerance=tol)

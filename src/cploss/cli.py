@@ -31,7 +31,7 @@ from .links import LINK_CATALOG_INFO, Link, canonical_link, catalog_link
 from .numerics import NumericsError
 from .proper import bayes_risk, conditional_risk, from_weight, reconstruct_symmetric, regret
 from .weights import WEIGHT_CATALOG_INFO, WeightFunction, catalog_weight, tabulated_weight
-from .weights import _interpolant
+from .weights import _interpolant, _table
 
 SCHEMA = "cploss/1"
 
@@ -100,13 +100,18 @@ def _load_document(spec: str) -> dict:
 
 
 def _build_callable(entry: dict, what: str):
+    if not isinstance(entry, dict):
+        raise click.UsageError(f"{what} entry must be a JSON object")
     if "expr" in entry:
         try:
             return compile_expression(entry["expr"])
         except ExpressionError as err:
             raise click.UsageError(f"bad {what} expression: {err}")
     if "table" in entry:
-        return _interpolant(np.asarray(entry["table"], dtype=float))
+        try:
+            return _interpolant(_table(entry["table"]))
+        except (TypeError, ValueError) as err:
+            raise click.UsageError(f"bad {what} table: {err}")
     raise click.UsageError(f"{what} entry needs 'expr' or 'table'")
 
 

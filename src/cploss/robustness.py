@@ -61,6 +61,11 @@ class NoisyLoss:
     alpha: float
 
     def ell(self, y: int, v):
+        # a term of zero weight is dropped, never multiplied: 0 * inf is nan
+        if self.alpha == 0.0:
+            return np.asarray(self.base.ell(y, v), dtype=float)
+        if self.alpha == 1.0:
+            return np.asarray(self.base.ell(-y, v), dtype=float)
         return ((1.0 - self.alpha) * np.asarray(self.base.ell(y, v), dtype=float)
                 + self.alpha * np.asarray(self.base.ell(-y, v), dtype=float))
 

@@ -206,8 +206,16 @@ def _zero_w(c):
     return np.zeros_like(np.asarray(c, dtype=float))
 
 
+def _table(table: Sequence[Sequence[float]]) -> np.ndarray:
+    """The rows ``(x, y)`` of a table as an n-by-2 float array, n >= 2."""
+    arr = np.asarray(table, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:
+        raise ValueError("table must be a sequence of at least two (c, w) pairs")
+    return arr
+
+
 def _interpolant(table: np.ndarray) -> Callable:
-    """Piecewise-linear interpolant of the rows ``(x, y)`` of a two-column array."""
+    """Piecewise-linear interpolant of the rows ``(x, y)`` of a :func:`_table` array."""
     order = np.argsort(table[:, 0])
     xs, ys = table[order, 0], table[order, 1]
     return _as_array_fn(lambda t: np.interp(t, xs, ys))
@@ -215,9 +223,7 @@ def _interpolant(table: np.ndarray) -> Callable:
 
 def tabulated_weight(table: Sequence[Sequence[float]], name: str = "custom-tabulated") -> WeightFunction:
     """Weight from a table of ``(c, w(c))`` pairs, linearly interpolated."""
-    arr = np.asarray(table, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:
-        raise ValueError("table must be a sequence of at least two (c, w) pairs")
+    arr = _table(table)
     if np.any(arr[:, 1] < 0):
         raise ValueError("tabulated weight values must be nonnegative")
     return WeightFunction(w=_interpolant(arr), name=name)

@@ -7,6 +7,8 @@ import pytest
 
 from cploss.analysis import (
     StrictnessError,
+    _link_curvature_ratio,
+    _log_weight_slope,
     allowable_region,
     calibration_cc,
     calibration_composite,
@@ -18,7 +20,7 @@ from cploss.analysis import (
 from cploss.composite import composite_from_margin, logistic_margin, make_composite
 from cploss.links import canonical_link, catalog_link
 from cploss.proper import CostLoss, catalog_loss, cost_loss, from_weight, zero_one_loss
-from cploss.weights import catalog_weight, tabulated_weight
+from cploss.weights import WeightFunction, catalog_weight, tabulated_weight
 
 GRID = np.linspace(0.05, 0.95, 37)
 
@@ -128,6 +130,66 @@ class TestConvexityOracle:
         cl = make_composite(from_weight(wf), link)
         oracle = convexity_oracle(cl, np.asarray(link.psi(grid), dtype=float))
         assert char.convex == oracle.convex, (wname, lname)
+
+
+def _loop_characterization(wf, link, xs, tol=1e-9):
+    """Reference: the violations of the characterisation, one grid point at a time."""
+    mid = _log_weight_slope(wf, xs) - _link_curvature_ratio(link, xs)
+    lower, upper = -1.0 / xs, 1.0 / (1.0 - xs)
+    out = []
+    for i, x in enumerate(xs):
+        if mid[i] < lower[i] - tol * max(1.0, abs(mid[i]), abs(lower[i])):
+            out.append((float(x), "lower", float(mid[i]), float(lower[i])))
+        if mid[i] > upper[i] + tol * max(1.0, abs(mid[i]), abs(upper[i])):
+            out.append((float(x), "upper", float(mid[i]), float(upper[i])))
+    return tuple(out)
+
+
+def _loop_oracle(cl, vs, tol=1e-8):
+    """Reference: the oracle's violations, one second difference at a time."""
+    qs = np.asarray(cl.link.q(vs), dtype=float)
+    out = []
+    for y, side in ((-1, "lower"), (1, "upper")):
+        f = np.asarray(cl.base.ell(y, qs), dtype=float)
+        for i in range(1, len(vs) - 1):
+            h0, h1 = vs[i] - vs[i - 1], vs[i + 1] - vs[i]
+            dd = 2.0 * ((f[i + 1] - f[i]) / h1 - (f[i] - f[i - 1]) / h0) / (vs[i + 1] - vs[i - 1])
+            if dd < -(tol + 4e-15 * max(1.0, abs(f[i])) / min(h0, h1) ** 2):
+                out.append((float(qs[i]), side, float(dd), 0.0))
+    return tuple(sorted(out))
+
+
+class TestViolationsMatchTheLoopReference:
+    """The array-built violation tuples equal a per-point loop, values and types."""
+
+    @pytest.mark.parametrize("wname,lname", [("boosting", "identity"), ("w1-over-c", "logit"),
+                                             ("w1-over-1mc", "cll"), ("log", "logit")])
+    def test_both_routes(self, wname, lname):
+        wf, link = catalog_weight(wname), catalog_link(lname)
+        grid = certification_grid(199)
+        char = convexity_characterization(wf, link, grid)
+        vs = np.unique(np.asarray(link.psi(grid), dtype=float))
+        cl = make_composite(from_weight(wf), link)
+        oracle = convexity_oracle(cl, vs)
+        assert char.violations == _loop_characterization(wf, link, grid)
+        assert oracle.violations == _loop_oracle(cl, vs)
+        for report in (char, oracle):
+            for v in report.violations:
+                assert [type(t) for t in v] == [float, str, float, float]
+            for side in (None, "lower", "upper"):
+                want = [v[0] for v in report.violations if side is None or v[1] == side]
+                got = report.violation_xs(side)
+                assert got.dtype == np.float64 and got.tolist() == want
+
+    def test_a_grid_point_can_break_both_bounds(self):
+        # beyond (0, 1) the bounds cross, so one point violates both; "lower" comes first
+        # with w = exp(-c) and the identity link, w'/w - psi''/psi' = -1
+        wf = WeightFunction(w=lambda c: np.exp(-c), w_prime=lambda c: -np.exp(-c))
+        link = catalog_link("identity")
+        xs = np.array([0.5, 1.5])
+        report = convexity_characterization(wf, link, xs)
+        assert report.violations == _loop_characterization(wf, link, xs)
+        assert [v[:2] for v in report.violations] == [(1.5, "lower"), (1.5, "upper")]
 
 
 class TestAllowableRegion:

@@ -119,6 +119,23 @@ class TestCheckProper:
         assert result.exit_code == 1
         assert json.loads(result.output)["proper"] is False
 
+    @pytest.mark.parametrize("entry", [{"table": [1, 2]}, {"table": [[0.5, 1.0]]},
+                                       {"table": [[0, 1, 2], [1, 2, 3]]}, {"table": [[0, 1], [1]]},
+                                       {"table": "abc"}, {"table": None}, 3])
+    def test_malformed_entry_is_a_usage_error(self, runner, entry):
+        # a table must be at least two (c, value) rows; exit 1 is reserved for --strict
+        spec = json.dumps({"ell_pos": entry, "ell_neg": {"expr": "c"}})
+        result = runner.invoke(main, ["check-proper", "--partials", spec])
+        assert result.exit_code == 2, result.output
+        assert "ell_pos" in result.output
+
+    def test_two_row_tables_are_accepted(self, runner):
+        # linear partials: both slope ratios are positive but never agree
+        spec = json.dumps({"ell_pos": {"table": [[0, 0.5], [1, 0]]},
+                           "ell_neg": {"table": [[0, 0], [1, 0.5]]}})
+        doc = run_json(runner, ["check-proper", "--partials", spec])
+        assert doc["proper"] is False
+
 
 class TestCheckConvexity:
     def test_boosting_identity_nonconvex(self, runner):

@@ -222,6 +222,14 @@ class TestZeroTimesInfinityGuard:
         assert np.isinf(risks[0]) and np.isinf(risks[-1])
         assert np.all(np.isfinite(risks[1:-1]))
 
+    def test_noiseless_mixture_matches_the_clean_loss(self):
+        # at alpha = 0 the flipped partial has weight zero and is dropped, so
+        # its infinities at etahat = 0 and 1 cannot turn the risk into nan
+        grid = [0.0, 0.2, 0.5, 0.8, 1.0]
+        clean = minimizer_set(catalog_loss("log"), 0.3, grid)
+        assert clean.tolist() == [0.2]
+        assert minimizer_set(noisy_loss(catalog_loss("log"), 0.0), 0.3, grid).tolist() == [0.2]
+
     def test_full_risk_of_a_perfect_predictor(self):
         step = lambda x: (np.asarray(x, dtype=float) > 0.5).astype(float)
         exp = Experiment(eta=step, name="certain")

@@ -224,6 +224,20 @@ def _scalar_bisection(psi, v, lo, hi, tol):
     return 0.5 * (lo + hi)
 
 
+def _sigmoid(v):
+    return 1.0 / (1.0 + np.exp(-np.asarray(v, dtype=float)))
+
+
+_LOG = catalog_weight("log")
+
+
+def _counting(fn, calls):
+    def counted(x):
+        calls.append(np.size(x))
+        return fn(x)
+    return counted
+
+
 class TestNumericInverse:
     DOMAIN = (1e-15, 1.0 - 1e-15)
 
@@ -256,3 +270,55 @@ class TestNumericInverse:
         assert len(calls) == 2  # psi at the two domain ends, once
         q(np.linspace(-5.0, 5.0, 1000))
         assert len(calls) <= 2 + 60  # one array call per halving, not one per point
+
+    # with a derivative: safeguarded Newton inside the bisection bracket
+    XS = np.linspace(0.01, 0.99, 1000)
+
+    def _calls(self, dpsi):
+        calls = []
+        q = numeric_inverse(_counting(_LOG.W, calls), dpsi=dpsi)
+        got = np.asarray(q(np.asarray(_LOG.W(self.XS))))
+        return got, len(calls) - 2, sum(calls[2:])
+
+    def test_canonical_log_link_inverts_to_the_sigmoid(self):
+        cl = canonical_link(_LOG)
+        vs = np.linspace(-9.0, 9.0, 1001)
+        got = np.asarray(cl.q(vs))
+        assert np.max(np.abs(got - _sigmoid(vs))) <= 1e-12
+        assert float(cl.q(np.asarray(0.0))) == 0.5  # psi(1/2) = 0 exactly: stops there
+
+    def test_canonical_link_inverts_in_few_array_calls(self):
+        calls = []
+        wf = WeightFunction(w=_LOG.w, w_prime=_LOG.w_prime,
+                            W=_counting(_LOG.W, calls), Wbar=_LOG.Wbar, name="log")
+        cl = canonical_link(wf)
+        vs = np.asarray(cl.psi(self.XS))
+        calls.clear()
+        assert np.max(np.abs(np.asarray(cl.q(vs)) - self.XS)) <= 1e-12
+        assert len(calls) <= 14  # bisection needs 40 halvings for this tolerance
+
+    def test_newton_against_bisection_work(self):
+        _, bisect_calls, bisect_points = self._calls(None)
+        got, calls, points = self._calls(_LOG.w)
+        assert bisect_calls == 40 and bisect_points == 40 * self.XS.size
+        assert calls <= 14 and points <= 7 * self.XS.size
+        assert np.max(np.abs(got - self.XS)) <= 1e-12
+
+    @pytest.mark.parametrize("dpsi", [
+        lambda x: 2.0 * _LOG.w(x),
+        lambda x: 0.5 * _LOG.w(x),
+        lambda x: 1e6 * _LOG.w(x),
+        lambda x: 1e-3 * _LOG.w(x),
+        lambda x: -_LOG.w(x),
+        lambda x: np.ones_like(x),
+        lambda x: np.zeros_like(x),
+        lambda x: np.full_like(x, np.inf),
+        lambda x: np.full_like(x, np.nan),
+    ], ids=["2x", "half", "1e6x", "1e-3x", "negative", "one", "zero", "inf", "nan"])
+    def test_a_wrong_derivative_still_converges(self, dpsi):
+        _, bisect_calls, _ = self._calls(None)
+        got, calls, _ = self._calls(dpsi)
+        assert np.max(np.abs(got - self.XS)) <= 1e-12
+        # at most 12 Newton steps per point on top of bisection, inside the
+        # bisection bound of test_all_points_step_together
+        assert calls <= bisect_calls + 12 and calls <= 60
