@@ -133,11 +133,17 @@ def check_proper(ell_pos: Callable, ell_neg: Callable, grid: Sequence[float],
     ``-ell_pos'(x)/(1-x)`` and ``ell_neg'(x)/x`` agree and are nonnegative;
     their common value is the weight.  Returns ``(proper, weight_estimate,
     max_residual)`` where the estimate averages the two ratios and the
-    residual is the largest normalised disagreement.
+    residual is the largest normalised disagreement.  Raises ``ValueError``
+    naming the first grid point where a ratio is not finite.
     """
     grid = np.asarray(grid, dtype=float)
     r_pos = -finite_diff(ell_pos, grid, 1) / (1.0 - grid)
     r_neg = finite_diff(ell_neg, grid, 1) / grid
+    bad = ~(np.isfinite(r_pos) & np.isfinite(r_neg))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        which = "ell_pos" if not np.isfinite(r_pos[i]) else "ell_neg"
+        raise ValueError(f"{which} has no finite slope at grid point x={float(grid[i])!r}")
     scale = np.maximum(1.0, np.maximum(np.abs(r_pos), np.abs(r_neg)))
     resid = np.abs(r_pos - r_neg) / scale
     max_resid = float(np.max(resid))

@@ -256,7 +256,10 @@ def check_proper_cmd(partials_file: str, grid_size: int, strict: bool) -> None:
     ell_pos = _build_callable(doc["ell_pos"], "ell_pos")
     ell_neg = _build_callable(doc["ell_neg"], "ell_neg")
     grid = np.linspace(0.05, 0.95, grid_size)
-    proper, weight, resid = analysis.check_proper(ell_pos, ell_neg, grid)
+    try:
+        proper, weight, resid = analysis.check_proper(ell_pos, ell_neg, grid)
+    except ValueError as err:
+        raise click.UsageError(str(err))
     xs = np.linspace(0.1, 0.9, 9)
     _emit_json({
         "proper": proper,

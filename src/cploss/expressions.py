@@ -2,8 +2,9 @@
 
 The grammar is deliberately tiny: the binary operators ``+ - * / ^``, unary
 minus, the functions ``log exp sqrt min max``, numeric literals, and the
-single variable ``c``.  Expressions are parsed with :mod:`ast` and compiled
-to a numpy-vectorised callable; anything outside the grammar is rejected.
+single variable ``c``.  Expressions are parsed with :mod:`ast`, checked
+against the grammar once, and compiled to a tree of closures over numpy
+ufuncs; anything outside the grammar is rejected.
 """
 
 from __future__ import annotations
@@ -37,53 +38,83 @@ _BINOPS = {
 }
 
 
-def _eval_node(node: ast.AST, c):
-    if isinstance(node, ast.Expression):
-        return _eval_node(node.body, c)
+def _variable(c):
+    return c
+
+
+def _compile_node(node: ast.AST) -> Callable:
+    """Check ``node`` against the grammar and return its closure ``c -> value``.
+
+    Nodes are checked depth first, left to right, so the first construct
+    outside the grammar is the one reported.  Nothing is evaluated here.
+    """
     if isinstance(node, ast.Constant):
-        if isinstance(node.value, (int, float)):
-            return float(node.value)
-        raise ExpressionError(f"literal {node.value!r} is not numeric")
+        value = node.value
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ExpressionError(f"literal {value!r} is not numeric")
+        try:
+            k = float(value)
+        except OverflowError as err:
+            raise ExpressionError(f"literal {value!r} is too large") from err
+        return lambda c: k
     if isinstance(node, ast.Name):
         if node.id == "c":
-            return c
+            return _variable
         raise ExpressionError(f"unknown variable {node.id!r}; only 'c' is allowed")
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-        val = _eval_node(node.operand, c)
-        return -val if isinstance(node.op, ast.USub) else val
+        operand = _compile_node(node.operand)
+        if isinstance(node.op, ast.UAdd):
+            return operand
+        return lambda c: -operand(c)
     if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-        return _BINOPS[type(node.op)](_eval_node(node.left, c), _eval_node(node.right, c))
+        op = _BINOPS[type(node.op)]
+        left = _compile_node(node.left)
+        right = _compile_node(node.right)
+        return lambda c: op(left(c), right(c))
     if isinstance(node, ast.Call):
         if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS:
             raise ExpressionError("only log, exp, sqrt, min, max calls are allowed")
         if node.keywords:
             raise ExpressionError("keyword arguments are not allowed")
-        args = [_eval_node(a, c) for a in node.args]
+        args = [_compile_node(a) for a in node.args]
         fn = _FUNCTIONS[node.func.id]
         if node.func.id in ("min", "max"):
             if len(args) != 2:
                 raise ExpressionError(f"{node.func.id} takes exactly two arguments")
-            return fn(*args)
+            first, second = args
+            return lambda c: fn(first(c), second(c))
         if len(args) != 1:
             raise ExpressionError(f"{node.func.id} takes exactly one argument")
-        return fn(args[0])
+        (arg,) = args
+        return lambda c: fn(arg(c))
     raise ExpressionError(f"unsupported syntax: {ast.dump(node)}")
 
 
 def compile_expression(source: str) -> Callable:
-    """Compile an expression in the variable ``c`` to a vectorised callable."""
+    """Compile an expression in the variable ``c`` to a vectorised callable.
+
+    The expression is parsed and checked against the grammar once, here, and
+    compiled to nested closures that apply the numpy ufuncs in the order the
+    expression is written; a call runs those closures and nothing else, with
+    floating-point warnings silenced.  Nothing is evaluated at compile time.
+    The result has the shape of ``c``, also for a constant expression.
+    """
+    if not isinstance(source, str):
+        raise ExpressionError(f"expression must be a string, not {type(source).__name__}")
     text = source.replace("^", "**")
     try:
-        tree = ast.parse(text, mode="eval")
+        body = _compile_node(ast.parse(text, mode="eval").body)
     except SyntaxError as err:
         raise ExpressionError(f"cannot parse expression {source!r}: {err}") from err
-    # validate eagerly on a probe value so bad expressions fail at compile time
-    _eval_node(tree, np.asarray(0.5))
+    except (RecursionError, MemoryError) as err:
+        # the parser and the compiler both recurse once per nesting level
+        raise ExpressionError("expression is nested too deeply") from err
 
     def fn(c):
+        x = np.asarray(c, dtype=float)
         with np.errstate(all="ignore"):
-            out = _eval_node(tree, np.asarray(c, dtype=float))
-        return np.asarray(out, dtype=float) + np.zeros_like(np.asarray(c, dtype=float))
+            out = body(x)
+        return np.asarray(out, dtype=float) + np.zeros_like(x)
 
     fn.__doc__ = f"expression: {source}"
     return fn

@@ -108,17 +108,26 @@ _GAUSS_W[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])   # Gauss nodes sit at 
 
 
 def _gk15(f: Callable, a: float, b: float) -> tuple[float, float]:
-    """One Gauss-Kronrod 7/15 panel; returns (estimate, error_estimate)."""
+    """One Gauss-Kronrod 7/15 panel; returns (estimate, error_estimate).
+
+    Finiteness is checked once per panel, on the Kronrod sum: all 15 Kronrod
+    weights are positive, so the sum is finite only if every value is.  The
+    values are scanned only when it is not, to name the first bad node or to
+    find that the sum of finite values overflowed (which is let through).  A
+    panel holding both +inf and -inf also makes numpy warn, while summing,
+    that inf - inf is invalid.
+    """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     xs = mid + half * _NODES
     ys = np.asarray(f(xs), dtype=float)
     if ys.shape != xs.shape:
         raise NumericsError("integrand must map an ndarray of points to an ndarray")
-    if not np.all(np.isfinite(ys)):
+    kronrod = float(_KRONROD_W @ ys)
+    if not math.isfinite(kronrod) and not np.all(np.isfinite(ys)):
         bad = xs[~np.isfinite(ys)][0]
         raise NumericsError(f"integrand returned a non-finite value at x={bad!r}")
-    k15 = half * float(_KRONROD_W @ ys)
+    k15 = half * kronrod
     g7 = half * float(_GAUSS_W @ ys)
     return k15, abs(k15 - g7)
 

@@ -54,6 +54,15 @@ class TestCheckProper:
         assert not proper
         assert resid > 0.1
 
+    def test_non_finite_slope_names_the_first_grid_point(self):
+        # ell_neg is finite up to 0.5; its central difference at x needs x + 1e-5
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match="ell_neg has no finite slope") as exc:
+                check_proper(lambda e: 1.0 - np.asarray(e, dtype=float),
+                             lambda e: np.sqrt(0.5 - np.asarray(e, dtype=float)), GRID)
+        first_bad = float(GRID[GRID + 1e-5 > 0.5][0])
+        assert str(exc.value).endswith(f"grid point x={first_bad!r}")
+
 
 class TestConvexityCharacterization:
     def test_square_identity_convex(self):

@@ -129,6 +129,15 @@ class TestCheckProper:
         assert result.exit_code == 2, result.output
         assert "ell_pos" in result.output
 
+    def test_partials_not_finite_on_the_grid_are_a_usage_error(self, runner):
+        # sqrt(0.6-c) is NaN past 0.6; exit 1 is reserved for --strict
+        spec = json.dumps({"ell_pos": {"expr": "sqrt(0.6-c)"}, "ell_neg": {"expr": "-log(1-c)"}})
+        result = runner.invoke(main, ["check-proper", "--partials", spec])
+        assert result.exit_code == 2, result.output
+        first_bad = float(np.linspace(0.05, 0.95, 99)[60])
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert errors == [f"Error: ell_pos has no finite slope at grid point x={first_bad!r}"]
+
     def test_two_row_tables_are_accepted(self, runner):
         # linear partials: both slope ratios are positive but never agree
         spec = json.dumps({"ell_pos": {"table": [[0, 0.5], [1, 0]]},
@@ -323,6 +332,21 @@ FLOAT_OPTIONS = {
     "--alpha": ["robustness", "--c0", "0.3", "--alpha"],
     "--x": ["regret-bound", "--x"],
 }
+
+
+@pytest.mark.parametrize("expr", ["True+c", "c*False"])
+def test_bool_literal_in_an_expression_is_a_usage_error(runner, expr):
+    result = runner.invoke(main, ["eval", "--loss", json.dumps({"weight": {"expr": expr}}),
+                                  "--y", "1", "--etahat", "0.3"])
+    assert result.exit_code == 2, result.output
+    assert "is not numeric" in result.output
+
+
+def test_non_string_expression_is_a_usage_error(runner):
+    result = runner.invoke(main, ["eval", "--loss", '{"weight":{"expr":3}}',
+                                  "--y", "1", "--etahat", "0.3"])
+    assert result.exit_code == 2, result.output
+    assert "must be a string" in result.output
 
 
 class TestNonFiniteNumbers:

@@ -6,6 +6,7 @@ integrals and scipy for the transcendental functions.
 
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,8 @@ import scipy.special
 from scipy.optimize import minimize_scalar as scipy_minimize
 
 import cploss
+from cploss import numerics
+from cploss.expressions import compile_expression
 from cploss.numerics import (
     IntegrationError,
     NumericsError,
@@ -102,6 +105,116 @@ class TestIntegrate:
             QuadratureSpec(max_depth=0)
         with pytest.raises(ValueError):
             QuadratureSpec(endpoint_shrink=1e-3)
+
+
+def legacy_gk15(f, a, b):
+    """The panel as it was when every value was scanned for finiteness first."""
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    xs = mid + half * numerics._NODES
+    ys = np.asarray(f(xs), dtype=float)
+    if ys.shape != xs.shape:
+        raise NumericsError("integrand must map an ndarray of points to an ndarray")
+    if not np.all(np.isfinite(ys)):
+        bad = xs[~np.isfinite(ys)][0]
+        raise NumericsError(f"integrand returned a non-finite value at x={bad!r}")
+    k15 = half * float(numerics._KRONROD_W @ ys)
+    g7 = half * float(numerics._GAUSS_W @ ys)
+    return k15, abs(k15 - g7)
+
+
+def ones_with(values):
+    """An integrand of ones except at the given node indices of each panel."""
+    def f(x):
+        y = np.ones_like(x)
+        for node, value in values.items():
+            y[node] = value
+        return y
+    return f
+
+
+class TestPanelFiniteness:
+    A, B = 0.2, 0.7
+    XS = 0.5 * (A + B) + 0.5 * (B - A) * numerics._NODES
+
+    def test_kronrod_weights_are_all_positive(self):
+        # the once-per-panel check relies on this: a sum of positive multiples
+        # of finite values can only be non-finite by overflow
+        assert numerics._KRONROD_W.shape == (15,)
+        assert np.all(numerics._KRONROD_W > 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("node", range(15))
+    def test_bad_value_at_any_node_is_named(self, node, bad):
+        f = ones_with({node: bad})
+        with pytest.raises(NumericsError) as new:
+            integrate(f, self.A, self.B)
+        with pytest.raises(NumericsError) as old:
+            legacy_gk15(f, self.A, self.B)
+        assert str(new.value) == str(old.value)
+        assert str(new.value) == f"integrand returned a non-finite value at x={self.XS[node]!r}"
+
+    def test_first_of_several_bad_nodes_is_named(self):
+        f = ones_with({3: np.inf, 9: np.nan, 14: np.inf})
+        with pytest.raises(NumericsError, match=re.escape(f"x={self.XS[3]!r}")):
+            integrate(f, self.A, self.B)
+
+    def test_opposite_infinities_are_named_too(self):
+        f = ones_with({5: -np.inf, 11: np.inf})
+        with warnings.catch_warnings():
+            # numpy may warn that inf - inf is invalid while summing the panel
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(NumericsError, match=re.escape(f"x={self.XS[5]!r}")):
+                integrate(f, self.A, self.B)
+
+    @pytest.mark.parametrize("f", [
+        lambda x: np.full_like(x, 1e308),
+        lambda x: np.full_like(x, -1e308),
+        lambda x: np.where(x > 1.0, 1e308, 1.0),
+    ], ids=["max", "min", "half"])
+    @pytest.mark.parametrize("a,b", [(0.0, 2.0), (0.0, 1.0), (-1e300, 1e300)])
+    def test_finite_panel_whose_sum_overflows_behaves_as_before(self, f, a, b):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert repr(numerics._gk15(f, a, b)) == repr(legacy_gk15(f, a, b))
+
+
+def _beta(a, b):
+    return compile_expression(f"c^({a - 1:g})*(1-c)^({b - 1:g})")
+
+
+_TABLE5 = cploss.tabulated_weight([[0.05, 1.0], [0.3, 1.5], [0.5, 0.7], [0.7, 1.2], [0.95, 0.9]])
+_INTEGRANDS = {
+    **{name: cploss.catalog_weight(name).w for name in ("square", "log", "boosting", "minimal")},
+    **{f"beta({a},{b})": _beta(a, b)
+       for a, b in [(0.5, 0.5), (0.0, 0.0), (-0.5, -0.5), (0.3, 0.7), (2.0, 3.0)]},
+    "table5": _TABLE5.w,
+    "table5-partial": lambda c: (1.0 - c) * _TABLE5.w(c),
+}
+
+
+def _integrals(f):
+    outs = []
+    for a, b in [(0.0, 1.0), (0.1, 0.9), (0.0, 0.5), (0.5, 1.0), (0.31, 0.37)]:
+        try:
+            outs.append(integrate(f, a, b))
+        except NumericsError as err:
+            outs.append(f"{type(err).__name__}: {err}")
+    xs = np.array([1e-6, 0.05, 0.2, 0.5, 0.77, 0.999])
+    for anchor in (0.5, 1.0):
+        try:
+            outs.append(antiderivative(f, anchor)(xs).tobytes())
+        except NumericsError as err:
+            outs.append(f"{type(err).__name__}: {err}")
+    return [np.float64(v).tobytes() if isinstance(v, float) else v for v in outs]
+
+
+@pytest.mark.parametrize("name", list(_INTEGRANDS))
+def test_integrals_are_bitwise_those_of_the_per_value_scan(name, monkeypatch):
+    f = _INTEGRANDS[name]
+    new = _integrals(f)
+    monkeypatch.setattr(numerics, "_gk15", legacy_gk15)
+    assert new == _integrals(f)
 
 
 class TestMinimizeScalar:
