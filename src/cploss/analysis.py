@@ -22,7 +22,7 @@ import numpy as np
 
 from .composite import CompositeLoss
 from .links import Link
-from .numerics import finite_diff
+from .numerics import array_fn, finite_diff
 from .proper import CostLoss, ProperLoss
 from .weights import WeightFunction, normalize_weight, tabulated_weight
 
@@ -97,23 +97,32 @@ class RegionCurve:
 
     def contains(self, wf: WeightFunction, tol: float = 1e-9) -> bool:
         """Whether the (normalised) weight lies inside the region on the grid."""
-        w = np.asarray(normalize_weight(wf).w(self.xs), dtype=float)
+        w = normalize_weight(wf).w(self.xs)
         lo_bound = np.where(self.xs >= 0.5, self.lower, self.upper)
         hi_bound = np.where(self.xs >= 0.5, self.upper, self.lower)
         slack = tol * np.maximum(1.0, np.maximum(np.abs(lo_bound), np.abs(hi_bound)))
         return bool(np.all(w >= lo_bound - slack) and np.all(w <= hi_bound + slack))
 
     def to_csv(self, file) -> None:
-        """Write ``x,lower,upper`` rows at 17 significant digits."""
-        writer = csv.writer(file, lineterminator="\n")
-        writer.writerow(["x", "lower", "upper"])
-        for x, lo, hi in zip(self.xs, self.lower, self.upper):
-            writer.writerow([f"{x:.17g}", f"{lo:.17g}", f"{hi:.17g}"])
+        """Write ``x,lower,upper`` rows with :func:`write_csv`."""
+        write_csv(file, ["x", "lower", "upper"], self.xs, self.lower, self.upper)
 
     def to_csv_string(self) -> str:
         buf = io.StringIO()
         self.to_csv(buf)
         return buf.getvalue()
+
+
+def write_csv(file, header: Sequence[str], *columns) -> None:
+    """Write ``header``, then one row per index of ``columns``, to an open text file.
+
+    Every field is printed at 17 significant digits, enough to read back the
+    same double.
+    """
+    writer = csv.writer(file, lineterminator="\n")
+    writer.writerow(header)
+    for row in zip(*columns):
+        writer.writerow([f"{x:.17g}" for x in row])
 
 
 def certification_grid(n: int = 999,
@@ -136,6 +145,7 @@ def check_proper(ell_pos: Callable, ell_neg: Callable, grid: Sequence[float],
     residual is the largest normalised disagreement.  Raises ``ValueError``
     naming the first grid point where a ratio is not finite.
     """
+    ell_pos, ell_neg = array_fn(ell_pos), array_fn(ell_neg)
     grid = np.asarray(grid, dtype=float)
     r_pos = -finite_diff(ell_pos, grid, 1) / (1.0 - grid)
     r_neg = finite_diff(ell_neg, grid, 1) / grid
@@ -157,17 +167,16 @@ def check_proper(ell_pos: Callable, ell_neg: Callable, grid: Sequence[float],
 
 def _log_weight_slope(wf: WeightFunction, xs: np.ndarray) -> np.ndarray:
     if wf.w_prime is not None:
-        return (np.asarray(wf.w_prime(xs), dtype=float)
-                / np.asarray(wf.w(xs), dtype=float))
+        return wf.w_prime(xs) / wf.w(xs)
     # derivative of log w by central differences: better conditioned when w
     # is small
-    return finite_diff(lambda t: np.log(np.asarray(wf.w(t), dtype=float)), xs, 1, h=1e-6)
+    return finite_diff(lambda t: np.log(wf.w(t)), xs, 1, h=1e-6)
 
 
 def _link_curvature_ratio(link: Link, xs: np.ndarray) -> np.ndarray:
-    dpsi = np.asarray(link.psi_prime(xs), dtype=float)
+    dpsi = link.psi_prime(xs)
     if link.psi_second is not None:
-        return np.asarray(link.psi_second(xs), dtype=float) / dpsi
+        return link.psi_second(xs) / dpsi
     return finite_diff(link.psi_prime, xs, 1, h=1e-6) / dpsi
 
 
@@ -185,7 +194,7 @@ def convexity_characterization(wf: WeightFunction, link: Link,
     xs = np.asarray(grid, dtype=float)
     if wf.has_atoms:
         raise StrictnessError("characterisation requires an atom-free weight")
-    wvals = np.asarray(wf.w(xs), dtype=float)
+    wvals = wf.w(xs)
     if np.any(wvals <= 0):
         raise StrictnessError("characterisation requires w > 0 on the grid")
     mid = _log_weight_slope(wf, xs) - _link_curvature_ratio(link, xs)
@@ -217,12 +226,12 @@ def convexity_oracle(cl: CompositeLoss,
     The grid is inverted once; both partials are read off the base loss.
     """
     if score_grid is None:
-        score_grid = np.asarray(cl.link.psi(certification_grid()), dtype=float)
+        score_grid = cl.link.psi(certification_grid())
     vs = np.unique(np.asarray(score_grid, dtype=float))
-    qs = np.asarray(cl.link.q(vs), dtype=float)
+    qs = cl.link.q(vs)
     violations = []
     for y, side in ((-1, "lower"), (1, "upper")):
-        fv = np.asarray(cl.base.ell(y, qs), dtype=float)
+        fv = cl.base.ell(y, qs)
         x0, x1, x2 = vs[:-2], vs[1:-1], vs[2:]
         f0, f1, f2 = fv[:-2], fv[1:-1], fv[2:]
         dd = 2.0 * ((f2 - f1) / (x2 - x1) - (f1 - f0) / (x1 - x0)) / (x2 - x0)
@@ -241,10 +250,10 @@ def allowable_region(link: Link, grid: Sequence[float] | None = None) -> RegionC
     if grid is None:
         grid = certification_grid()
     xs = np.asarray(grid, dtype=float)
-    dpsi_half = float(link.psi_prime(np.asarray(0.5)))
+    dpsi_half = float(link.psi_prime(0.5))
     if dpsi_half == 0.0 or not np.isfinite(dpsi_half):
         raise ValueError("allowable_region needs psi'(1/2) finite and nonzero")
-    dpsi = np.asarray(link.psi_prime(xs), dtype=float)
+    dpsi = link.psi_prime(xs)
     lower = dpsi / (2.0 * dpsi_half * xs)
     upper = dpsi / (2.0 * dpsi_half * (1.0 - xs))
     return RegionCurve(xs=xs, lower=lower, upper=upper, link_name=link.name)
@@ -277,13 +286,13 @@ def calibration_cc(ell, c: float) -> bool | None:
             return True
         if wf.is_pure_atomic:
             return False
-        wc = float(wf.w(np.asarray(c)))
+        wc = float(wf.w(c))
         if wc > 1e-12:
             return True
         return False
-    ell_pos, ell_neg = ell
-    dp = finite_diff(lambda t: float(np.asarray(ell_pos(np.asarray(t)))), c, 1)
-    dn = finite_diff(lambda t: float(np.asarray(ell_neg(np.asarray(t)))), c, 1)
+    ell_pos, ell_neg = map(array_fn, ell)
+    dp = finite_diff(ell_pos, c, 1)
+    dn = finite_diff(ell_neg, c, 1)
     tau = 1e-8 * max(1.0, abs(dp), abs(dn))
     if abs(dn) <= tau or abs(dp) <= tau:
         return None

@@ -15,7 +15,6 @@ included), 3 numeric failure (a non-finite result included).
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import math
@@ -77,12 +76,9 @@ def _emit_json(payload: dict) -> None:
 
 
 def _write_csv(path: str, header: list, *columns) -> None:
-    """Write columns as CSV rows with 17-significant-digit fields."""
+    """Write columns to ``path`` with :func:`analysis.write_csv`."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in zip(*columns):
-            writer.writerow([f"{x:.17g}" for x in row])
+        analysis.write_csv(fh, header, *columns)
 
 
 def _load_document(spec: str) -> dict:
@@ -204,14 +200,14 @@ def eval_cmd(spec: str, label: str, etahat: float | None,
         cl = composite.make_composite(loss, link)
         if not link.contains(score):
             raise click.UsageError(f"--v {score} outside link range {link.range}")
-        value = float(cl.ell(y, np.asarray(score)))
+        value = float(cl.ell(y, score))
         _emit_json({"y": y, "v": score, "value": value})
         return
     if etahat is None:
         raise click.UsageError("provide --etahat (or --v with a link)")
     if not 0.0 <= etahat <= 1.0:
         raise click.UsageError("--etahat must lie in [0,1]")
-    _emit_json({"y": y, "etahat": etahat, "value": float(loss.ell(y, np.asarray(etahat)))})
+    _emit_json({"y": y, "etahat": etahat, "value": float(loss.ell(y, etahat))})
 
 
 @main.command()
@@ -264,7 +260,7 @@ def check_proper_cmd(partials_file: str, grid_size: int, strict: bool) -> None:
     _emit_json({
         "proper": proper,
         "max_residual": resid,
-        "weight_estimate": [[float(x), float(weight.w(np.asarray(x)))] for x in xs],
+        "weight_estimate": [[float(x), float(weight.w(x))] for x in xs],
     })
     if strict and not proper:
         sys.exit(1)
@@ -291,7 +287,7 @@ def check_convexity(spec: str, use_oracle: bool, grid_size: int,
     try:
         if use_oracle:
             cl = composite.make_composite(loss, link)
-            report = analysis.convexity_oracle(cl, np.asarray(link.psi(grid), dtype=float),
+            report = analysis.convexity_oracle(cl, link.psi(grid),
                                                **({"tol": tol} if tol else {}))
         else:
             report = analysis.convexity_characterization(loss.weight, link, grid,
@@ -363,7 +359,7 @@ def reconstruct_symmetric_cmd(half_file: str, side: str, grid_size: int,
         click.echo(f"reconstruction failed: {err}", err=True)
         sys.exit(3)
     xs = np.linspace(0.01, 0.99, grid_size)
-    ys = np.asarray(loss.ell_neg(xs), dtype=float)
+    ys = loss.ell_neg(xs)
     if out_path is not None:
         _write_csv(out_path, ["x", "ell_neg"], xs, ys)
     _emit_json({
@@ -408,7 +404,7 @@ def margin_link(phi_spec: str, grid_size: int, v_max: float, out_path: str | Non
         click.echo(f"no admissible link: {err}", err=True)
         sys.exit(3)
     vs = np.linspace(-v_max, v_max, grid_size)
-    qs = np.asarray(link.q(vs), dtype=float)
+    qs = link.q(vs)
     if out_path is not None:
         _write_csv(out_path, ["v", "q"], vs, qs)
     _emit_json({"phi": phi_spec,

@@ -18,9 +18,9 @@ from typing import Callable
 import numpy as np
 
 from .links import Link, numeric_inverse, rho_of
-from .numerics import antiderivative, finite_diff
+from .numerics import antiderivative, array_fn, finite_diff
 from .proper import ProperLoss, _risk_terms, conditional_risk, regret
-from .weights import WeightFunction, _as_array_fn
+from .weights import WeightFunction
 
 __all__ = [
     "CompositeLoss",
@@ -44,12 +44,16 @@ class CompositeLoss:
     """A proper loss paired with a link, evaluable at raw scores.
 
     ``rho`` is the link-adjusted weight ``w / psi'`` as a callable, or None
-    when the weight has atoms.
+    when the weight has atoms; it is held under the contract of
+    :func:`~cploss.numerics.array_fn`.
     """
 
     base: ProperLoss
     link: Link
     rho: Callable | None
+
+    def __post_init__(self):
+        object.__setattr__(self, "rho", array_fn(self.rho))
 
     @property
     def name(self) -> str:
@@ -78,11 +82,19 @@ class CompositeLoss:
 
 @dataclass(frozen=True)
 class MarginLoss:
-    """A loss of scores through the margin only: ell(y, v) = phi(y*v)."""
+    """A loss of scores through the margin only: ell(y, v) = phi(y*v).
+
+    ``phi`` and ``phi_prime`` are held under the contract of
+    :func:`~cploss.numerics.array_fn`.
+    """
 
     phi: Callable
     phi_prime: Callable | None = None
     name: str = "margin"
+
+    def __post_init__(self):
+        object.__setattr__(self, "phi", array_fn(self.phi))
+        object.__setattr__(self, "phi_prime", array_fn(self.phi_prime))
 
     def dphi(self, v):
         if self.phi_prime is not None:
@@ -123,20 +135,22 @@ def score_gradients(cl: CompositeLoss, v: float) -> tuple[float, float]:
     per-example gradient updates for positive and negative labels.
     """
     rho = cl.require_rho()
-    etahat = float(cl.link.q(np.asarray(v, dtype=float)))
-    r = float(rho(np.asarray(etahat)))
+    etahat = float(cl.link.q(v))
+    r = float(rho(etahat))
     return ((etahat - 1.0) * r, etahat * r)
 
 
 def composite_regret(cl: CompositeLoss, eta: float, v: float) -> float:
     """Excess composite risk over the Bayes risk: the base regret at q(v)."""
-    return regret(cl.base, eta, float(cl.link.q(np.asarray(v, dtype=float))))
+    return regret(cl.base, eta, float(cl.link.q(v)))
 
 
 def _link_from_q(q: Callable, v_range: tuple[float, float], name: str) -> Link:
+    # q is probed and inverted before the link that holds it exists
+    q = array_fn(q)
     lo, hi = v_range
     probe = np.linspace(lo, hi, 512)
-    qs = np.asarray(q(probe), dtype=float)
+    qs = q(probe)
     if not np.all(np.isfinite(qs)):
         raise ValueError(f"{name}: inverse link not finite on the probe range")
     diffs = np.diff(qs)
@@ -152,10 +166,10 @@ def _link_from_q(q: Callable, v_range: tuple[float, float], name: str) -> Link:
     psi = numeric_inverse(q, tol=1e-13, domain=(lo, hi))
 
     def psi_prime(x):
-        return 1.0 / finite_diff(q, psi(x), 1, h=1e-6)
+        # finite_diff gives a Python float for a 0-d x, and 1.0 / 0.0 would raise
+        return np.divide(1.0, finite_diff(q, psi(x), 1, h=1e-6))
 
-    return Link(psi=psi, psi_prime=_as_array_fn(psi_prime), q=_as_array_fn(q),
-                range=(lo, hi), name=name)
+    return Link(psi=psi, psi_prime=psi_prime, q=q, range=(lo, hi), name=name)
 
 
 def reference_link(lam_pos_prime: Callable, lam_neg_prime: Callable,
@@ -166,16 +180,17 @@ def reference_link(lam_pos_prime: Callable, lam_neg_prime: Callable,
     built with this link attains its conditional minimum at ``v = psi(eta)``.
     Raises if the implied inverse link is non-monotone on the probe range.
     """
+    lam_pos_prime, lam_neg_prime = array_fn(lam_pos_prime), array_fn(lam_neg_prime)
 
     def q(v):
-        dn = np.asarray(lam_neg_prime(v), dtype=float)
-        dp = np.asarray(lam_pos_prime(v), dtype=float)
+        dn = lam_neg_prime(v)
+        dp = lam_pos_prime(v)
         denom = dn - dp
         if np.any(np.abs(denom) < 1e-300):
             raise ValueError("reference link: vanishing derivative gap")
         return dn / denom
 
-    return _link_from_q(_as_array_fn(q), v_range, name="reference-link")
+    return _link_from_q(q, v_range, name="reference-link")
 
 
 def margin_to_link(m: MarginLoss,
@@ -188,21 +203,20 @@ def margin_to_link(m: MarginLoss,
     link stops being invertible there.
     """
     probe = np.linspace(v_range[0], v_range[1], 257)
-    dvals = np.asarray(m.dphi(probe), dtype=float)
+    dvals = m.dphi(probe)
     if np.any(dvals == 0.0):
         warnings.warn(f"{m.name}: phi' vanishes on the probe range; "
                       "link may be non-unique", RuntimeWarning)
 
     def q(v):
-        v = np.asarray(v, dtype=float)
-        dneg = np.asarray(m.dphi(-v), dtype=float)
-        dpos = np.asarray(m.dphi(v), dtype=float)
+        dneg = m.dphi(-v)
+        dpos = m.dphi(v)
         denom = dneg + dpos
         if np.any(np.abs(denom) < 1e-300):
             raise ValueError(f"{m.name}: phi'(-v)+phi'(v) vanishes; no admissible link")
         return dneg / denom
 
-    return _link_from_q(_as_array_fn(q), v_range, name=f"link({m.name})")
+    return _link_from_q(q, v_range, name=f"link({m.name})")
 
 
 def composite_from_margin(m: MarginLoss,
@@ -214,35 +228,25 @@ def composite_from_margin(m: MarginLoss,
     """
     link = margin_to_link(m, v_range)
 
-    def ell_pos(e):
-        return m.phi(np.asarray(link.psi(e), dtype=float))
-
-    def ell_neg(e):
-        return m.phi(-np.asarray(link.psi(e), dtype=float))
-
     def rho_fn(e):
-        e = np.asarray(e, dtype=float)
-        return -np.asarray(m.dphi(-np.asarray(link.psi(e), dtype=float)), dtype=float) / e
+        return -m.dphi(-link.psi(e)) / e
 
-    def w_fn(e):
-        return np.asarray(rho_fn(e), dtype=float) * np.asarray(link.psi_prime(e), dtype=float)
-
-    weight = WeightFunction(w=_as_array_fn(w_fn), name=f"weight({m.name})")
+    weight = WeightFunction(w=lambda e: rho_fn(e) * link.psi_prime(e), name=f"weight({m.name})")
     base = ProperLoss(
-        ell_pos=_as_array_fn(ell_pos),
-        ell_neg=_as_array_fn(ell_neg),
+        ell_pos=lambda e: m.phi(link.psi(e)),
+        ell_neg=lambda e: m.phi(-link.psi(e)),
         weight=weight,
         fair=False,
         strictly_proper=True,
         name=f"proper({m.name})",
     )
-    return CompositeLoss(base=base, link=link, rho=_as_array_fn(rho_fn))
+    return CompositeLoss(base=base, link=link, rho=rho_fn)
 
 
 def exponential_margin() -> MarginLoss:
     return MarginLoss(
-        phi=_as_array_fn(lambda v: np.exp(-v)),
-        phi_prime=_as_array_fn(lambda v: -np.exp(-v)),
+        phi=lambda v: np.exp(-v),
+        phi_prime=lambda v: -np.exp(-v),
         name="exponential",
     )
 
@@ -250,13 +254,12 @@ def exponential_margin() -> MarginLoss:
 def logistic_margin() -> MarginLoss:
     def softplus_neg(v):
         # log(1 + exp(-v)), stable on both tails
-        v = np.asarray(v, dtype=float)
         return np.where(v > 0, np.log1p(np.exp(-np.abs(v))),
                         -np.minimum(v, 0.0) + np.log1p(np.exp(-np.abs(v))))
 
     return MarginLoss(
-        phi=_as_array_fn(softplus_neg),
-        phi_prime=_as_array_fn(lambda v: -1.0 / (1.0 + np.exp(v))),
+        phi=softplus_neg,
+        phi_prime=lambda v: -1.0 / (1.0 + np.exp(v)),
         name="logistic",
     )
 
@@ -271,17 +274,15 @@ def zhang_margin(alpha: float) -> MarginLoss:
         raise ValueError("alpha must be positive")
 
     def softplus(z):
-        z = np.asarray(z, dtype=float)
         return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
     def sigmoid(z):
-        z = np.asarray(z, dtype=float)
         return np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)),
                         np.exp(z) / (1.0 + np.exp(z)))
 
     return MarginLoss(
-        phi=_as_array_fn(lambda v: softplus(alpha * (1.0 - v)) / alpha),
-        phi_prime=_as_array_fn(lambda v: -sigmoid(alpha * (1.0 - v))),
+        phi=lambda v: softplus(alpha * (1.0 - v)) / alpha,
+        phi_prime=lambda v: -sigmoid(alpha * (1.0 - v)),
         name=f"zhang({alpha})",
     )
 
@@ -298,21 +299,18 @@ def duality_residual(W: Callable, x: float, y: float,
     anchored at 1/2 and W(1/2).  Bregman divergences are invariant to the
     anchoring constants.
     """
-    Wf = _as_array_fn(W)
+    W, W_inv, Wbar, dual_antideriv = map(array_fn, (W, W_inv, Wbar, dual_antideriv))
     if W_inv is None:
-        W_inv = numeric_inverse(Wf)
+        W_inv = numeric_inverse(W)
     if Wbar is None:
-        Wbar = antiderivative(Wf, 0.5)
+        Wbar = antiderivative(W, 0.5)
     if dual_antideriv is None:
-        dual_antideriv = antiderivative(W_inv, float(Wf(np.asarray(0.5))))
-
-    def at(fn, t: float) -> float:
-        return float(fn(np.asarray(t)))
+        dual_antideriv = antiderivative(W_inv, float(W(0.5)))
 
     x = float(x)
     y = float(y)
-    Wx = at(Wf, x)
-    Wy = at(Wf, y)
-    lhs = at(Wbar, x) - at(Wbar, y) - (x - y) * Wy
-    rhs = at(dual_antideriv, Wy) - at(dual_antideriv, Wx) - (Wy - Wx) * at(W_inv, Wx)
+    Wx = float(W(x))
+    Wy = float(W(y))
+    lhs = float(Wbar(x)) - float(Wbar(y)) - (x - y) * Wy
+    rhs = float(dual_antideriv(Wy)) - float(dual_antideriv(Wx)) - (Wy - Wx) * float(W_inv(Wx))
     return abs(lhs - rhs)

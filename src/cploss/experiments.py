@@ -21,9 +21,10 @@ from typing import Callable
 import numpy as np
 
 from .composite import _pointwise_risk
-from .numerics import MinimizeResult, QuadratureSpec, integrate, lambert_w0, minimize_scalar
+from .numerics import (MinimizeResult, QuadratureSpec, array_fn, integrate, lambert_w0,
+                       minimize_scalar)
 from .proper import ProperLoss, bayes_risk, catalog_loss, from_weight
-from .weights import catalog_weight, _as_array_fn
+from .weights import catalog_weight
 
 __all__ = [
     "Experiment",
@@ -48,14 +49,17 @@ _RISK_QUAD = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, max_depth=60)
 
 @dataclass(frozen=True)
 class Experiment:
-    """Conditional probability eta on [0,1] under the uniform marginal."""
+    """Conditional probability eta on [0,1] under the uniform marginal.
+
+    ``eta`` is held under the contract of :func:`~cploss.numerics.array_fn`.
+    """
 
     eta: Callable
     name: str = "experiment"
 
     def __post_init__(self):
-        xs = np.linspace(0.0, 1.0, 41)
-        vals = np.asarray(self.eta(xs), dtype=float)
+        object.__setattr__(self, "eta", array_fn(self.eta))
+        vals = self.eta(np.linspace(0.0, 1.0, 41))
         if np.any(vals < -1e-12) or np.any(vals > 1.0 + 1e-12):
             raise ValueError(f"experiment {self.name!r}: eta must map into [0,1]")
 
@@ -67,17 +71,15 @@ class LinearHypothesisClass:
     alpha_range: tuple[float, float] = (0.0, 1.0)
 
     def hypothesis(self, alpha: float) -> Callable:
-        return _as_array_fn(lambda x: alpha * np.asarray(x, dtype=float))
+        return lambda x: alpha * np.asarray(x, dtype=float)
 
 
 def quadratic_experiment() -> Experiment:
-    return Experiment(eta=_as_array_fn(lambda x: np.asarray(x, dtype=float) ** 2),
-                      name="eta1")
+    return Experiment(eta=lambda x: x ** 2, name="eta1")
 
 
 def affine_experiment() -> Experiment:
-    return Experiment(eta=_as_array_fn(lambda x: 1.0 / 3.0 + np.asarray(x, dtype=float) / 3.0),
-                      name="eta2")
+    return Experiment(eta=lambda x: 1.0 / 3.0 + x / 3.0, name="eta2")
 
 
 def full_risk(exp: Experiment, loss, h: Callable,
@@ -85,9 +87,7 @@ def full_risk(exp: Experiment, loss, h: Callable,
     """Marginal average of the conditional risk of predictor ``h``."""
 
     def integrand(xs):
-        xs = np.asarray(xs, dtype=float)
-        return _pointwise_risk(loss, np.asarray(exp.eta(xs), dtype=float),
-                               np.asarray(h(xs), dtype=float))
+        return _pointwise_risk(loss, exp.eta(xs), h(xs))
 
     return integrate(integrand, 0.0, 1.0, spec)
 
@@ -114,10 +114,8 @@ def zero_one_linear_risk(exp: Experiment, alpha: float) -> float:
     above it.
     """
     x0 = min(max(float(alpha) / 2.0, 0.0), 1.0)
-    neg_side = integrate(lambda xs: np.asarray(exp.eta(xs), dtype=float), 0.0, x0,
-                         _RISK_QUAD) if x0 > 0 else 0.0
-    pos_side = integrate(lambda xs: 1.0 - np.asarray(exp.eta(xs), dtype=float), x0, 1.0,
-                         _RISK_QUAD) if x0 < 1 else 0.0
+    neg_side = integrate(exp.eta, 0.0, x0, _RISK_QUAD) if x0 > 0 else 0.0
+    pos_side = integrate(lambda xs: 1.0 - exp.eta(xs), x0, 1.0, _RISK_QUAD) if x0 < 1 else 0.0
     return neg_side + pos_side
 
 

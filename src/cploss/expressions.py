@@ -14,6 +14,8 @@ from typing import Callable
 
 import numpy as np
 
+from .numerics import array_fn
+
 __all__ = ["compile_expression", "ExpressionError"]
 
 
@@ -95,9 +97,10 @@ def compile_expression(source: str) -> Callable:
 
     The expression is parsed and checked against the grammar once, here, and
     compiled to nested closures that apply the numpy ufuncs in the order the
-    expression is written; a call runs those closures and nothing else, with
-    floating-point warnings silenced.  Nothing is evaluated at compile time.
-    The result has the shape of ``c``, also for a constant expression.
+    expression is written; a call runs those closures and nothing else,
+    under the contract of :func:`~cploss.numerics.array_fn`.  Nothing is
+    evaluated at compile time.  The result has the shape of ``c``, also for
+    a constant expression.
     """
     if not isinstance(source, str):
         raise ExpressionError(f"expression must be a string, not {type(source).__name__}")
@@ -110,11 +113,6 @@ def compile_expression(source: str) -> Callable:
         # the parser and the compiler both recurse once per nesting level
         raise ExpressionError("expression is nested too deeply") from err
 
-    def fn(c):
-        x = np.asarray(c, dtype=float)
-        with np.errstate(all="ignore"):
-            out = body(x)
-        return np.asarray(out, dtype=float) + np.zeros_like(x)
-
+    fn = array_fn(lambda c: body(c) + np.zeros_like(c))
     fn.__doc__ = f"expression: {source}"
     return fn

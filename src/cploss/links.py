@@ -17,8 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import NumericsError
-from .weights import WeightFunction, _as_array_fn, synthesize_antiderivatives
+from .numerics import NumericsError, array_fn
+from .weights import WeightFunction, synthesize_antiderivatives
 
 __all__ = [
     "Link",
@@ -34,7 +34,12 @@ _GRID = np.linspace(0.01, 0.99, 99)
 
 @dataclass(frozen=True)
 class Link:
-    """Strictly increasing map ``psi`` from (0,1) to scores, with inverse ``q``."""
+    """Strictly increasing map ``psi`` from (0,1) to scores, with inverse ``q``.
+
+    ``psi``, ``psi_prime``, ``psi_second`` and ``q`` are held under the
+    contract of :func:`~cploss.numerics.array_fn`, applied once here: float
+    ndarrays in and out, numpy warnings silenced.
+    """
 
     psi: Callable
     psi_prime: Callable
@@ -44,10 +49,12 @@ class Link:
     name: str = "custom"
 
     def __post_init__(self):
-        dpsi = np.asarray(self.psi_prime(_GRID), dtype=float)
+        for field in ("psi", "psi_prime", "q", "psi_second"):
+            object.__setattr__(self, field, array_fn(getattr(self, field)))
+        dpsi = self.psi_prime(_GRID)
         if np.any(dpsi <= 0) or not np.all(np.isfinite(dpsi)):
             raise ValueError(f"link {self.name!r} needs psi_prime > 0 on (0,1)")
-        round_trip = np.asarray(self.q(np.asarray(self.psi(_GRID), dtype=float)), dtype=float)
+        round_trip = self.q(self.psi(_GRID))
         if not np.allclose(round_trip, _GRID, atol=1e-9, rtol=0):
             raise ValueError(f"link {self.name!r}: q(psi(x)) != x on the check grid")
 
@@ -62,9 +69,8 @@ def rho_of(wf: WeightFunction, link: Link) -> Callable:
         raise ValueError("rho is undefined for weights with atoms")
     if wf.w is link.psi_prime:
         # canonical pairing shares the very same function object
-        return _as_array_fn(lambda x: np.ones_like(np.asarray(x, dtype=float)))
-    return _as_array_fn(lambda x: np.asarray(wf.w(x), dtype=float)
-                        / np.asarray(link.psi_prime(x), dtype=float))
+        return lambda x: np.ones_like(np.asarray(x, dtype=float))
+    return lambda x: wf.w(x) / link.psi_prime(x)
 
 
 _NEWTON_STEPS = 12
@@ -94,15 +100,16 @@ def numeric_inverse(psi: Callable, tol: float = 1e-12,
     most 12 evaluations over plain bisection and never loosens the result.
 
     ``psi`` at the domain ends is evaluated once, here, and scores at or
-    beyond those values clamp to the domain ends.  ``psi`` and ``dpsi``
-    must accept ndarrays.
+    beyond those values clamp to the domain ends.  ``psi``, ``dpsi`` and
+    the returned inverse keep the contract of
+    :func:`~cploss.numerics.array_fn`.
     """
+    psi, dpsi = array_fn(psi), array_fn(dpsi)
     lo0, hi0 = domain
-    flo = float(psi(np.asarray(lo0)))
-    fhi = float(psi(np.asarray(hi0)))
+    flo = float(psi(lo0))
+    fhi = float(psi(hi0))
 
     def q(v):
-        v = np.asarray(v, dtype=float)
         out = np.where(v <= flo, lo0, hi0).ravel()
         idx = np.flatnonzero(~(v <= flo) & ~(v >= fhi))
         target = v.ravel()[idx]
@@ -113,7 +120,7 @@ def numeric_inverse(psi: Callable, tol: float = 1e-12,
         for _ in range(200):
             if idx.size == 0:
                 break
-            f = np.asarray(psi(x), dtype=float) - target
+            f = psi(x) - target
             below = f < 0.0
             lo = np.where(below, x, lo)
             hi = np.where(below, hi, x)
@@ -131,7 +138,7 @@ def numeric_inverse(psi: Callable, tol: float = 1e-12,
                 x = mid
                 continue
             x, scale, newton_left = x[keep], scale[keep], newton_left[keep]
-            step = f[keep] / np.asarray(dpsi(x), dtype=float)
+            step = f[keep] / dpsi(x)
             step = np.where(np.abs(step) < scale, np.sign(step) * (0.5 * scale), step)
             newton = x - step
             inside = (newton > lo) & (newton < hi) & (newton_left > 0)
@@ -140,15 +147,15 @@ def numeric_inverse(psi: Callable, tol: float = 1e-12,
         out[idx] = 0.5 * (lo + hi)
         return out.reshape(v.shape)
 
-    return _as_array_fn(q)
+    return array_fn(q)
 
 
 def _identity() -> Link:
     return Link(
-        psi=_as_array_fn(lambda x: x),
-        psi_prime=_as_array_fn(lambda x: np.ones_like(x)),
-        psi_second=_as_array_fn(lambda x: np.zeros_like(x)),
-        q=_as_array_fn(lambda v: v),
+        psi=lambda x: x,
+        psi_prime=lambda x: np.ones_like(x),
+        psi_second=lambda x: np.zeros_like(x),
+        q=lambda v: v,
         range=(0.0, 1.0),
         name="identity",
     )
@@ -156,15 +163,14 @@ def _identity() -> Link:
 
 def _logit() -> Link:
     def q(v):
-        v = np.asarray(v, dtype=float)
         return np.where(v >= 0, 1.0 / (1.0 + np.exp(-v)),
                         np.exp(v) / (1.0 + np.exp(v)))
 
     return Link(
-        psi=_as_array_fn(lambda x: np.log(x / (1.0 - x))),
-        psi_prime=_as_array_fn(lambda x: 1.0 / (x * (1.0 - x))),
-        psi_second=_as_array_fn(lambda x: (2.0 * x - 1.0) / (x * (1.0 - x)) ** 2),
-        q=_as_array_fn(q),
+        psi=lambda x: np.log(x / (1.0 - x)),
+        psi_prime=lambda x: 1.0 / (x * (1.0 - x)),
+        psi_second=lambda x: (2.0 * x - 1.0) / (x * (1.0 - x)) ** 2,
+        q=q,
         name="logit",
     )
 
@@ -180,20 +186,20 @@ def _cll() -> Link:
         return (L - 1.0) / ((1.0 - x) * L) ** 2
 
     return Link(
-        psi=_as_array_fn(lambda x: np.log(-np.log(1.0 - x))),
-        psi_prime=_as_array_fn(psi_prime),
-        psi_second=_as_array_fn(psi_second),
-        q=_as_array_fn(lambda v: -np.expm1(-np.exp(v))),
+        psi=lambda x: np.log(-np.log(1.0 - x)),
+        psi_prime=psi_prime,
+        psi_second=psi_second,
+        q=lambda v: -np.expm1(-np.exp(v)),
         name="cll",
     )
 
 
 def _square_link() -> Link:
     return Link(
-        psi=_as_array_fn(lambda x: x * x),
-        psi_prime=_as_array_fn(lambda x: 2.0 * x),
-        psi_second=_as_array_fn(lambda x: 2.0 * np.ones_like(x)),
-        q=_as_array_fn(lambda v: np.sqrt(np.maximum(v, 0.0))),
+        psi=lambda x: x * x,
+        psi_prime=lambda x: 2.0 * x,
+        psi_second=lambda x: 2.0 * np.ones_like(x),
+        q=lambda v: np.sqrt(np.maximum(v, 0.0)),
         range=(0.0, 1.0),
         name="square-link",
     )
@@ -201,10 +207,10 @@ def _square_link() -> Link:
 
 def _cosine() -> Link:
     return Link(
-        psi=_as_array_fn(lambda x: 1.0 - np.cos(np.pi * x)),
-        psi_prime=_as_array_fn(lambda x: np.pi * np.sin(np.pi * x)),
-        psi_second=_as_array_fn(lambda x: np.pi ** 2 * np.cos(np.pi * x)),
-        q=_as_array_fn(lambda v: np.arccos(np.clip(1.0 - v, -1.0, 1.0)) / np.pi),
+        psi=lambda x: 1.0 - np.cos(np.pi * x),
+        psi_prime=lambda x: np.pi * np.sin(np.pi * x),
+        psi_second=lambda x: np.pi ** 2 * np.cos(np.pi * x),
+        q=lambda v: np.arccos(np.clip(1.0 - v, -1.0, 1.0)) / np.pi,
         range=(0.0, 2.0),
         name="cosine",
     )
@@ -246,8 +252,8 @@ def canonical_link(wf: WeightFunction) -> Link:
     if wf.has_atoms:
         raise ValueError("canonical link is undefined for weights with atoms")
     wf = synthesize_antiderivatives(wf)
-    W_half = float(wf.W(np.asarray(0.5)))
-    psi = _as_array_fn(lambda x, _W=wf.W: np.asarray(_W(x), dtype=float) - W_half)
+    W_half = float(wf.W(0.5))
+    psi = lambda x, _W=wf.W: _W(x) - W_half
 
     # A synthesized antiderivative of a weight with a strong endpoint
     # singularity may not be evaluable arbitrarily close to 0 or 1; back off
@@ -256,7 +262,7 @@ def canonical_link(wf: WeightFunction) -> Link:
         for eps in (1e-12, 1e-9, 1e-6, 1e-4):
             x = eps if side == 0.0 else 1.0 - eps
             try:
-                val = float(psi(np.asarray(x)))
+                val = float(psi(x))
             except NumericsError:
                 continue
             if np.isfinite(val):

@@ -1,6 +1,7 @@
 """Deterministic scalar numerics used by every other module.
 
-Adaptive quadrature tolerant of integrable endpoint singularities, the
+The contract every held callable of cploss keeps (:func:`array_fn`),
+adaptive quadrature tolerant of integrable endpoint singularities, the
 anchored antiderivative built on it, bracketed scalar minimisation, the
 principal branch of the Lambert W function, and central finite differences.
 Everything here is pure and reentrant: no global mutable state, safe to call
@@ -23,6 +24,7 @@ __all__ = [
     "QuadratureSpec",
     "MinimizeResult",
     "DEFAULT_QUADRATURE",
+    "array_fn",
     "integrate",
     "antiderivative",
     "minimize_scalar",
@@ -36,7 +38,7 @@ class NumericsError(Exception):
 
 
 class IntegrationError(NumericsError):
-    """Adaptive quadrature ran out of depth.
+    """Adaptive quadrature ran out of depth or overflowed.
 
     Attributes
     ----------
@@ -85,6 +87,29 @@ class MinimizeResult:
     converged: bool
 
 
+def array_fn(fn: Callable | None) -> Callable | None:
+    """``fn`` under the callable contract of cploss objects.
+
+    The returned callable converts its argument with ``np.asarray(x,
+    dtype=float)``, calls ``fn`` on it with every numpy floating-point
+    warning silenced (``np.errstate(all="ignore")``), and returns
+    ``np.asarray(result, dtype=float)``.  Dead branches of ``np.where`` and
+    endpoint limits such as ``log(0)`` therefore stay quiet, and callers need
+    not coerce what it returns.  Idempotent: a callable it returned, and
+    None, come back unchanged.
+    """
+    if fn is None or getattr(fn, "_array_fn", False):
+        return fn
+
+    def wrapped(x):
+        x = np.asarray(x, dtype=float)
+        with np.errstate(all="ignore"):
+            return np.asarray(fn(x), dtype=float)
+
+    wrapped._array_fn = True
+    return wrapped
+
+
 # Gauss-Kronrod 7/15 abscissae and weights on [-1, 1] (QUADPACK constants).
 _XGK = np.array([
     0.9914553711208126, 0.9491079123427585, 0.8648644233597691,
@@ -113,9 +138,9 @@ def _gk15(f: Callable, a: float, b: float) -> tuple[float, float]:
     Finiteness is checked once per panel, on the Kronrod sum: all 15 Kronrod
     weights are positive, so the sum is finite only if every value is.  The
     values are scanned only when it is not, to name the first bad node or to
-    find that the sum of finite values overflowed (which is let through).  A
-    panel holding both +inf and -inf also makes numpy warn, while summing,
-    that inf - inf is invalid.
+    find that the sum of finite values overflowed (which is returned, for
+    :func:`integrate` to raise on).  A panel holding both +inf and -inf also
+    makes numpy warn, while summing, that inf - inf is invalid.
     """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
@@ -130,6 +155,16 @@ def _gk15(f: Callable, a: float, b: float) -> tuple[float, float]:
     k15 = half * kronrod
     g7 = half * float(_GAUSS_W @ ys)
     return k15, abs(k15 - g7)
+
+
+def _check_finite(lo: float, hi: float, est: float, err: float, total: float) -> None:
+    # A Kronrod sum that overflowed on finite values leaves a NaN error
+    # estimate, which no stopping test accepts: stop instead of splitting on.
+    if not (math.isfinite(est) and math.isfinite(err)):
+        raise IntegrationError(
+            f"quadrature sum overflowed on [{lo!r}, {hi!r}]: estimate {est!r}, error {err!r}",
+            estimate=total,
+        )
 
 
 def integrate(f: Callable, a: float, b: float,
@@ -150,8 +185,9 @@ def integrate(f: Callable, a: float, b: float,
         If the integrand returns NaN/inf at an interior node or the bounds
         are invalid.
     IntegrationError
-        If ``spec.max_depth`` is exhausted before the tolerance is met; the
-        exception carries the partial estimate.
+        If ``spec.max_depth`` is exhausted before the tolerance is met, or a
+        panel's estimate or error overflows on finite values; the exception
+        carries the partial estimate.
     """
     a = float(a)
     b = float(b)
@@ -169,6 +205,7 @@ def integrate(f: Callable, a: float, b: float,
     # refinement chain that forms against an integrable endpoint
     # singularity.
     est0, err0 = _gk15(f, a, b)
+    _check_finite(a, b, est0, err0, est0)
     counter = itertools.count()
     heap = [(-err0, next(counter), a, b, est0, 0)]
     total_est = est0
@@ -195,6 +232,7 @@ def integrate(f: Callable, a: float, b: float,
         left, lerr = _gk15(f, lo, mid)
         right, rerr = _gk15(f, mid, hi)
         total_est += left + right - est
+        _check_finite(lo, hi, left + right, lerr + rerr, total_est)
         open_err += lerr + rerr - err
         heapq.heappush(heap, (-lerr, next(counter), lo, mid, left, depth + 1))
         heapq.heappush(heap, (-rerr, next(counter), mid, hi, right, depth + 1))

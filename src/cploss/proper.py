@@ -19,13 +19,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .numerics import IntegrationError, antiderivative, finite_diff, integrate
-from .weights import (
-    WeightFunction,
-    _as_array_fn,
-    catalog_weight,
-    tabulated_weight,
-)
+from .numerics import IntegrationError, antiderivative, array_fn, finite_diff, integrate
+from .weights import WeightFunction, catalog_weight, tabulated_weight
 
 __all__ = [
     "ImpropernessError",
@@ -55,7 +50,9 @@ class ProperLoss:
     """Partial losses on [0, 1] together with their weight function.
 
     ``ell_pos`` is the penalty for predicting ``etahat`` when the label is
-    positive, ``ell_neg`` for the negative label.  Both accept ndarrays.
+    positive, ``ell_neg`` for the negative label.  Both are held under the
+    contract of :func:`~cploss.numerics.array_fn`, applied once here: float
+    ndarrays in and out, numpy warnings silenced.
     """
 
     ell_pos: Callable
@@ -64,6 +61,10 @@ class ProperLoss:
     fair: bool = True
     strictly_proper: bool = True
     name: str = "proper-loss"
+
+    def __post_init__(self):
+        object.__setattr__(self, "ell_pos", array_fn(self.ell_pos))
+        object.__setattr__(self, "ell_neg", array_fn(self.ell_neg))
 
     def ell(self, y: int, etahat):
         """Loss of predicting ``etahat`` against label ``y`` in {-1, +1}."""
@@ -77,17 +78,14 @@ class ProperLoss:
         """Probe fairness, nonnegativity and regularity on small grids."""
         xs = np.linspace(0.01, 0.99, 25)
         if self.fair:
-            lp = np.asarray(self.ell_pos(xs), dtype=float)
-            ln_ = np.asarray(self.ell_neg(xs), dtype=float)
-            if np.any(lp < -1e-9) or np.any(ln_ < -1e-9):
+            if np.any(self.ell_pos(xs) < -1e-9) or np.any(self.ell_neg(xs) < -1e-9):
                 raise ImpropernessError(f"{self.name}: fair loss has negative partial values")
-            edge = max(abs(float(self.ell_neg(np.asarray(0.0)))),
-                       abs(float(self.ell_pos(np.asarray(1.0)))))
+            edge = max(abs(float(self.ell_neg(0.0))), abs(float(self.ell_pos(1.0))))
             if not edge <= 1e-9:
                 raise ImpropernessError(f"{self.name}: fairness anchors are not zero")
         for eps in (1e-4, 1e-6):
-            a = eps * float(self.ell_pos(np.asarray(eps)))          # eta -> 0 side
-            b = eps * float(self.ell_neg(np.asarray(1.0 - eps)))    # eta -> 1 side
+            a = eps * float(self.ell_pos(eps))          # eta -> 0 side
+            b = eps * float(self.ell_neg(1.0 - eps))    # eta -> 1 side
             if not (np.isfinite(a) and np.isfinite(b) and abs(a) < 0.1 and abs(b) < 0.1):
                 raise ImpropernessError(f"{self.name}: regularity probe failed near eta={eps}")
 
@@ -126,17 +124,8 @@ def _dyadic_strictness(wf: WeightFunction) -> bool:
     # strictness needs mass on every open subinterval; approximated by
     # probing the continuous part on 1023 dyadic interior points: a zero
     # stretch of more than 2 adjacent points means not strictly proper.
-    grid = np.arange(1, 1024) / 1024.0
-    vals = np.asarray(wf.w(grid), dtype=float)
-    zero = vals <= 1e-12
-    if not zero.any():
-        return True
-    run = 0
-    for z in zero:
-        run = run + 1 if z else 0
-        if run > 2:
-            return False
-    return True
+    zero = wf.w(np.arange(1, 1024) / 1024.0) <= 1e-12
+    return not np.any(zero[:-2] & zero[1:-1] & zero[2:])
 
 
 def from_weight(wf: WeightFunction) -> ProperLoss:
@@ -153,8 +142,8 @@ def from_weight(wf: WeightFunction) -> ProperLoss:
         continuous_pos = continuous_neg = None
     elif wf.W is not None and wf.Wbar is not None:
         Wf, Wbar = wf.W, wf.Wbar
-        wbar0 = float(Wbar(np.asarray(0.0)))
-        wbar1 = float(Wbar(np.asarray(1.0)))
+        wbar0 = float(Wbar(0.0))
+        wbar1 = float(Wbar(1.0))
         if not (np.isfinite(wbar0) and np.isfinite(wbar1)):
             raise ImpropernessError(
                 f"weight {wf.name!r} is not definite: its partial-loss integrals diverge")
@@ -162,48 +151,37 @@ def from_weight(wf: WeightFunction) -> ProperLoss:
         # The 0*inf products at the very endpoints are the regularity limits
         # and evaluate to zero.
         def continuous_pos(e):
-            e = np.asarray(e, dtype=float)
-            We = np.asarray(Wf(e), dtype=float)
-            with np.errstate(all="ignore"):
-                term = np.where(e < 1.0, (1.0 - e) * We, 0.0)
-            return wbar1 - np.asarray(Wbar(e), dtype=float) - term
+            return wbar1 - Wbar(e) - np.where(e < 1.0, (1.0 - e) * Wf(e), 0.0)
 
         def continuous_neg(e):
-            e = np.asarray(e, dtype=float)
-            We = np.asarray(Wf(e), dtype=float)
-            with np.errstate(all="ignore"):
-                term = np.where(e > 0.0, e * We, 0.0)
-            return wbar0 - np.asarray(Wbar(e), dtype=float) + term
+            return wbar0 - Wbar(e) + np.where(e > 0.0, e * Wf(e), 0.0)
     else:
         # ell_pos(e) = integral of (1-c) w(c) over [e, 1], written as the
         # antiderivative of -(1-c) w anchored at 1; ell_neg(e) = integral of
         # c w(c) over [0, e].
         w = wf.w
-        continuous_pos = antiderivative(
-            lambda c: -(1.0 - c) * np.asarray(w(c), dtype=float), 1.0)
-        continuous_neg = antiderivative(lambda c: c * np.asarray(w(c), dtype=float), 0.0)
+        continuous_pos = antiderivative(lambda c: -(1.0 - c) * w(c), 1.0)
+        continuous_neg = antiderivative(lambda c: c * w(c), 0.0)
 
-    def ell_pos(etahat):
-        e = np.asarray(etahat, dtype=float)
-        total = np.zeros_like(e, dtype=float)
+    def ell_pos(e):
+        total = np.zeros_like(e)
         if continuous_pos is not None:
-            total = total + np.asarray(continuous_pos(e), dtype=float)
+            total = total + continuous_pos(e)
         for c, m in atoms:
             total = total + m * (1.0 - c) * (e < c)
         return total
 
-    def ell_neg(etahat):
-        e = np.asarray(etahat, dtype=float)
-        total = np.zeros_like(e, dtype=float)
+    def ell_neg(e):
+        total = np.zeros_like(e)
         if continuous_neg is not None:
-            total = total + np.asarray(continuous_neg(e), dtype=float)
+            total = total + continuous_neg(e)
         for c, m in atoms:
             total = total + m * c * (e >= c)
         return total
 
     loss = ProperLoss(
-        ell_pos=_as_array_fn(ell_pos),
-        ell_neg=_as_array_fn(ell_neg),
+        ell_pos=ell_pos,
+        ell_neg=ell_neg,
         weight=wf,
         fair=True,
         strictly_proper=_dyadic_strictness(wf),
@@ -237,8 +215,8 @@ def _risk_terms(loss, eta, etahat):
     """
     eta = np.asarray(eta, dtype=float)
     with np.errstate(all="ignore"):
-        lp = np.asarray(loss.ell_pos(etahat), dtype=float)
-        ln_ = np.asarray(loss.ell_neg(etahat), dtype=float)
+        lp = loss.ell_pos(etahat)
+        ln_ = loss.ell_neg(etahat)
         return (np.where(eta > 0.0, eta * lp, 0.0)
                 + np.where(eta < 1.0, (1.0 - eta) * ln_, 0.0))
 
@@ -271,7 +249,7 @@ def bayes_risk_prime(loss, eta: float) -> float:
     For a proper loss the stationarity of the risk at the honest prediction
     collapses the derivative to ell_pos(eta) - ell_neg(eta).
     """
-    return float(loss.ell_pos(np.asarray(eta))) - float(loss.ell_neg(np.asarray(eta)))
+    return float(loss.ell_pos(eta)) - float(loss.ell_neg(eta))
 
 
 def regret(loss, eta: float, etahat: float) -> float:
@@ -315,10 +293,10 @@ def schervish_check(loss, y: int, etahat: float) -> float:
     if wf.is_pure_atomic:
         return atom_term
     if y == -1:
-        f = lambda c: c * np.asarray(wf.w(c), dtype=float)
+        f = lambda c: c * wf.w(c)
         a, b = 0.0, etahat
     else:
-        f = lambda c: (1.0 - c) * np.asarray(wf.w(c), dtype=float)
+        f = lambda c: (1.0 - c) * wf.w(c)
         a, b = etahat, 1.0
     try:
         val = integrate(f, a, b)
@@ -352,13 +330,11 @@ def _half_derivative(half: Callable, lo: float, hi: float) -> Callable:
     # Central difference with the stencil clamped inside [lo, hi]; a point
     # at or beyond an end of [lo, hi] takes a backward step of 1e-7.
     def d(t):
-        t = np.asarray(t, dtype=float)
         h = np.minimum(1e-5, 0.45 * np.minimum(t - lo, hi - t))
         edge = ~(h > 0)
         h = np.where(edge, 1e-7, h)
         upper = np.where(edge, t, t + h)
-        return ((np.asarray(half(upper), dtype=float) - np.asarray(half(t - h), dtype=float))
-                / np.where(edge, h, 2.0 * h))
+        return (half(upper) - half(t - h)) / np.where(edge, h, 2.0 * h)
 
     return d
 
@@ -382,25 +358,25 @@ def reconstruct_symmetric(half: Callable, side: str,
     if side not in ("lower", "upper"):
         raise ValueError("side must be 'lower' or 'upper'")
     dom = (0.0, 0.5) if side == "lower" else (0.5, 1.0)
-    anchor = float(half(np.asarray(0.5))) if ell_neg_at_half is None else float(ell_neg_at_half)
+    half = array_fn(half)
+    anchor = float(half(0.5)) if ell_neg_at_half is None else float(ell_neg_at_half)
     dhalf = _half_derivative(half, *dom)
 
     def integrand(x):
-        x = np.asarray(x, dtype=float)
         return (x / (1.0 - x)) * dhalf(1.0 - x)
 
     completion = antiderivative(integrand, 0.5)
 
     def ell_neg(e):
-        e = np.asarray(e, dtype=float)
         given = (e <= 0.5) if side == "lower" else (e >= 0.5)
         out = np.empty(e.shape)
         out[given] = half(e[given])
         out[~given] = anchor + completion(e[~given])
         return out
 
-    ell_neg = _as_array_fn(ell_neg)
-    ell_pos = _as_array_fn(lambda e: ell_neg(1.0 - np.asarray(e, dtype=float)))
+    # the probes below read the partials before the loss that holds them exists
+    ell_neg = array_fn(ell_neg)
+    ell_pos = lambda e: ell_neg(1.0 - e)
 
     # Properness probe: the implied weight ell_neg'(e)/e must be nonnegative.
     probe = np.linspace(0.02, 0.98, 49)
@@ -413,7 +389,7 @@ def reconstruct_symmetric(half: Callable, side: str,
 
     def _safe_zero(fn, x) -> bool:
         try:
-            return abs(float(fn(np.asarray(x)))) <= 1e-9
+            return abs(float(fn(x))) <= 1e-9
         except Exception:
             return False
 

@@ -63,11 +63,10 @@ class NoisyLoss:
     def ell(self, y: int, v):
         # a term of zero weight is dropped, never multiplied: 0 * inf is nan
         if self.alpha == 0.0:
-            return np.asarray(self.base.ell(y, v), dtype=float)
+            return self.base.ell(y, v)
         if self.alpha == 1.0:
-            return np.asarray(self.base.ell(-y, v), dtype=float)
-        return ((1.0 - self.alpha) * np.asarray(self.base.ell(y, v), dtype=float)
-                + self.alpha * np.asarray(self.base.ell(-y, v), dtype=float))
+            return self.base.ell(-y, v)
+        return (1.0 - self.alpha) * self.base.ell(y, v) + self.alpha * self.base.ell(-y, v)
 
     def ell_pos(self, v):
         return self.ell(1, v)
@@ -146,17 +145,11 @@ def cost_robust_interval(c0: float, alpha: float) -> RobustInterval:
 
 
 def _positivity_runs(mask: np.ndarray, xs: np.ndarray) -> list[tuple[float, float]]:
-    runs = []
-    start = None
-    for i, flag in enumerate(mask):
-        if flag and start is None:
-            start = xs[i]
-        elif not flag and start is not None:
-            runs.append((float(start), float(xs[i - 1])))
-            start = None
-    if start is not None:
-        runs.append((float(start), float(xs[-1])))
-    return runs
+    """``(xs[first], xs[last])`` of every maximal run of True in ``mask``, in order."""
+    step = np.diff(np.concatenate([[0], np.asarray(mask, dtype=np.int8), [0]]))
+    first = np.flatnonzero(step == 1)
+    last = np.flatnonzero(step == -1) - 1
+    return list(zip(xs[first].tolist(), xs[last].tolist()))
 
 
 def _merge(intervals: list[tuple[float, float]], gap: float) -> list[tuple[float, float]]:
@@ -193,7 +186,7 @@ def proper_nonrobust_region(wf: WeightFunction, alpha: float,
     intervals: list[tuple[float, float]] = []
 
     if alpha > 0.0 and not wf.is_pure_atomic:
-        mask = np.asarray(wf.w(xs), dtype=float) > 1e-12
+        mask = wf.w(xs) > 1e-12
         for a, b in _positivity_runs(mask, xs):
             pull = lambda c: (c - alpha) / (1.0 - 2.0 * alpha)
             if a < 0.5:

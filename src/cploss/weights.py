@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import antiderivative, finite_diff
+from .numerics import antiderivative, array_fn, finite_diff
 
 __all__ = [
     "WeightFunction",
@@ -32,28 +32,24 @@ __all__ = [
 _CHECK_GRID = np.array([0.1, 0.2, 0.3, 0.4, 0.45, 0.55, 0.6, 0.7, 0.8, 0.9])
 
 
-def _as_array_fn(fn: Callable) -> Callable:
-    """Wrap a scalar/array function so numpy warnings from dead branches stay quiet."""
-
-    def wrapped(x):
-        with np.errstate(all="ignore"):
-            return fn(np.asarray(x, dtype=float))
-
-    return wrapped
-
-
 @dataclass(frozen=True)
 class WeightFunction:
     """Nonnegative weight ``w`` on (0, 1) with optional structure.
 
+    Every callable field is held under the contract of
+    :func:`~cploss.numerics.array_fn`, applied once here: it takes any
+    array-like, computes on a float ndarray with numpy warnings silenced and
+    returns a float ndarray.  The callables given need only accept float
+    ndarrays.
+
     Parameters
     ----------
     w : callable
-        Continuous part of the weight; must accept ndarrays.
+        Continuous part of the weight.
     w_prime, W, Wbar : callable, optional
-        Derivative of ``w`` and the antiderivatives of ``w`` and ``W``; like
-        ``w`` they must accept ndarrays.  Any antiderivative constant is
-        acceptable: every consumer is invariant to it.
+        Derivative of ``w`` and the antiderivatives of ``w`` and ``W``.  Any
+        antiderivative constant is acceptable: every consumer is invariant
+        to it.
     atoms : sequence of (location, mass)
         Point masses in (0, 1) with positive mass.
     """
@@ -66,20 +62,22 @@ class WeightFunction:
     name: str = "custom"
 
     def __post_init__(self):
+        for field in ("w", "w_prime", "W", "Wbar"):
+            object.__setattr__(self, field, array_fn(getattr(self, field)))
         object.__setattr__(self, "atoms", tuple((float(c), float(m)) for c, m in self.atoms))
         for c, m in self.atoms:
             if not 0.0 < c < 1.0:
                 raise ValueError(f"atom location must lie in (0,1), got {c}")
             if not m > 0.0:
                 raise ValueError(f"atom mass must be positive, got {m}")
-        vals = np.asarray(self.w(_CHECK_GRID), dtype=float)
+        vals = self.w(_CHECK_GRID)
         if np.any(vals < -1e-12) or not np.all(np.isfinite(vals)):
             raise ValueError(f"weight {self.name!r} must be finite and nonnegative on (0,1)")
         # Interior integrability probe: finite mass over [1e-3, 1-1e-3],
         # estimated on a fixed composite grid (bounded cost by design; this
         # is a sanity net, not a tolerance-grade integral).
         probe = np.linspace(1e-3, 1.0 - 1e-3, 257)
-        pv = np.asarray(self.w(probe), dtype=float)
+        pv = self.w(probe)
         mass = float(np.trapezoid(pv, probe)) if hasattr(np, "trapezoid") else float(np.trapz(pv, probe))
         if not np.isfinite(mass):
             raise ValueError(f"weight {self.name!r} has non-integrable interior mass")
@@ -91,7 +89,7 @@ class WeightFunction:
             if F is None:
                 continue
             got = finite_diff(F, _CHECK_GRID, 1)
-            want = np.asarray(f(_CHECK_GRID), dtype=float)
+            want = f(_CHECK_GRID)
             bad = np.abs(got - want) > 1e-6 * np.maximum(1.0, np.abs(want))
             if bad.any():
                 raise ValueError(f"{label} for {self.name!r} at x={_CHECK_GRID[bad][0]}")
@@ -108,7 +106,7 @@ class WeightFunction:
     def is_symmetric(self, tol: float = 1e-9) -> bool:
         """Whether w(c) = w(1-c) (atoms included) within ``tol`` on a grid."""
         xs = np.linspace(0.01, 0.99, 197)
-        vals = np.asarray(self.w(xs), dtype=float)
+        vals = self.w(xs)
         if not np.allclose(vals, vals[::-1], atol=tol, rtol=tol):
             return False
         mirrored = sorted((round(1.0 - c, 12), m) for c, m in self.atoms)
@@ -117,55 +115,51 @@ class WeightFunction:
 
 def _square() -> WeightFunction:
     return WeightFunction(
-        w=_as_array_fn(lambda c: np.ones_like(c)),
-        w_prime=_as_array_fn(lambda c: np.zeros_like(c)),
-        W=_as_array_fn(lambda c: c),
-        Wbar=_as_array_fn(lambda c: c * c / 2.0),
+        w=lambda c: np.ones_like(c),
+        w_prime=lambda c: np.zeros_like(c),
+        W=lambda c: c,
+        Wbar=lambda c: c * c / 2.0,
         name="square",
     )
 
 
 def _log() -> WeightFunction:
     return WeightFunction(
-        w=_as_array_fn(lambda c: 1.0 / ((1.0 - c) * c)),
-        w_prime=_as_array_fn(lambda c: (2.0 * c - 1.0) / ((1.0 - c) * c) ** 2),
-        W=_as_array_fn(lambda c: np.log(c / (1.0 - c))),
-        Wbar=_as_array_fn(
-            lambda c: np.where(c > 0, c * np.log(np.maximum(c, 1e-300)), 0.0)
-            + np.where(c < 1, (1.0 - c) * np.log(np.maximum(1.0 - c, 1e-300)), 0.0)
-        ),
+        w=lambda c: 1.0 / ((1.0 - c) * c),
+        w_prime=lambda c: (2.0 * c - 1.0) / ((1.0 - c) * c) ** 2,
+        W=lambda c: np.log(c / (1.0 - c)),
+        Wbar=lambda c: (np.where(c > 0, c * np.log(np.maximum(c, 1e-300)), 0.0)
+                        + np.where(c < 1, (1.0 - c) * np.log(np.maximum(1.0 - c, 1e-300)), 0.0)),
         name="log",
     )
 
 
 def _boosting() -> WeightFunction:
     return WeightFunction(
-        w=_as_array_fn(lambda c: ((1.0 - c) * c) ** -1.5),
-        w_prime=_as_array_fn(lambda c: 1.5 * (2.0 * c - 1.0) * ((1.0 - c) * c) ** -2.5),
-        W=_as_array_fn(lambda c: 2.0 * (2.0 * c - 1.0) / np.sqrt(c * (1.0 - c))),
-        Wbar=_as_array_fn(lambda c: -4.0 * np.sqrt(c * (1.0 - c))),
+        w=lambda c: ((1.0 - c) * c) ** -1.5,
+        w_prime=lambda c: 1.5 * (2.0 * c - 1.0) * ((1.0 - c) * c) ** -2.5,
+        W=lambda c: 2.0 * (2.0 * c - 1.0) / np.sqrt(c * (1.0 - c)),
+        Wbar=lambda c: -4.0 * np.sqrt(c * (1.0 - c)),
         name="boosting",
     )
 
 
 def _one_over_c() -> WeightFunction:
     return WeightFunction(
-        w=_as_array_fn(lambda c: 1.0 / c),
-        w_prime=_as_array_fn(lambda c: -1.0 / c ** 2),
-        W=_as_array_fn(lambda c: np.log(c)),
-        Wbar=_as_array_fn(lambda c: np.where(c > 0, c * np.log(np.maximum(c, 1e-300)) - c, 0.0)),
+        w=lambda c: 1.0 / c,
+        w_prime=lambda c: -1.0 / c ** 2,
+        W=lambda c: np.log(c),
+        Wbar=lambda c: np.where(c > 0, c * np.log(np.maximum(c, 1e-300)) - c, 0.0),
         name="w1-over-c",
     )
 
 
 def _one_over_1mc() -> WeightFunction:
     return WeightFunction(
-        w=_as_array_fn(lambda c: 1.0 / (1.0 - c)),
-        w_prime=_as_array_fn(lambda c: 1.0 / (1.0 - c) ** 2),
-        W=_as_array_fn(lambda c: -np.log(1.0 - c)),
-        Wbar=_as_array_fn(
-            lambda c: np.where(c < 1, (1.0 - c) * np.log(np.maximum(1.0 - c, 1e-300)), 0.0) + c
-        ),
+        w=lambda c: 1.0 / (1.0 - c),
+        w_prime=lambda c: 1.0 / (1.0 - c) ** 2,
+        W=lambda c: -np.log(1.0 - c),
+        Wbar=lambda c: np.where(c < 1, (1.0 - c) * np.log(np.maximum(1.0 - c, 1e-300)), 0.0) + c,
         name="w1-over-1mc",
     )
 
@@ -177,33 +171,23 @@ def _minimal() -> WeightFunction:
         return 0.5 * np.minimum(1.0 / c, 1.0 / (1.0 - c))
 
     def w_prime(c):
-        c = np.asarray(c, dtype=float)
         # subgradient convention at the kink: 0 (interior of [-2, 2])
         out = np.where(c < 0.5, 0.5 / (1.0 - c) ** 2, -0.5 / c ** 2)
         return np.where(c == 0.5, 0.0, out)
 
     def W(c):
-        c = np.asarray(c, dtype=float)
         low = -0.5 * np.log(2.0 * np.maximum(1.0 - c, 1e-300))
         high = 0.5 * np.log(2.0 * np.maximum(c, 1e-300))
         return np.where(c < 0.5, low, high)
 
     def Wbar(c):
-        c = np.asarray(c, dtype=float)
         cm = np.maximum(c, 1e-300)
         om = np.maximum(1.0 - c, 1e-300)
         low = 0.5 * ((1.0 - c) * np.log(2.0 * om) + c) - 0.25
         high = 0.5 * (c * np.log(2.0 * cm) - c) + 0.25
         return np.where(c < 0.5, low, high)
 
-    return WeightFunction(
-        w=_as_array_fn(w), w_prime=_as_array_fn(w_prime),
-        W=_as_array_fn(W), Wbar=_as_array_fn(Wbar), name="minimal",
-    )
-
-
-def _zero_w(c):
-    return np.zeros_like(np.asarray(c, dtype=float))
+    return WeightFunction(w=w, w_prime=w_prime, W=W, Wbar=Wbar, name="minimal")
 
 
 def _table(table: Sequence[Sequence[float]]) -> np.ndarray:
@@ -218,7 +202,7 @@ def _interpolant(table: np.ndarray) -> Callable:
     """Piecewise-linear interpolant of the rows ``(x, y)`` of a :func:`_table` array."""
     order = np.argsort(table[:, 0])
     xs, ys = table[order, 0], table[order, 1]
-    return _as_array_fn(lambda t: np.interp(t, xs, ys))
+    return lambda t: np.interp(t, xs, ys)
 
 
 def tabulated_weight(table: Sequence[Sequence[float]], name: str = "custom-tabulated") -> WeightFunction:
@@ -262,13 +246,13 @@ def catalog_weight(name: str, params: dict | None = None) -> WeightFunction:
     if name == "minimal":
         return _minimal()
     if name == "zero-one":
-        return WeightFunction(w=_as_array_fn(_zero_w), atoms=((0.5, 2.0),), name="zero-one")
+        return WeightFunction(w=np.zeros_like, atoms=((0.5, 2.0),), name="zero-one")
     if name == "cost":
         c0 = params.get("c0")
         if c0 is None or not 0.0 < float(c0) < 1.0:
             raise ValueError("cost weight requires parameter c0 in (0,1)")
         c0 = float(c0)
-        return WeightFunction(w=_as_array_fn(_zero_w), atoms=((c0, 1.0),), name=f"cost({c0})")
+        return WeightFunction(w=np.zeros_like, atoms=((c0, 1.0),), name=f"cost({c0})")
     if name == "custom-tabulated":
         if "table" not in params:
             raise ValueError("custom-tabulated weight requires parameter 'table'")
@@ -281,11 +265,11 @@ def normalize_weight(wf: WeightFunction) -> WeightFunction:
     for c, _ in wf.atoms:
         if abs(c - 0.5) < 1e-12:
             raise ValueError("cannot normalise a weight with an atom at 1/2")
-    w_half = float(wf.w(np.asarray(0.5)))
+    w_half = float(wf.w(0.5))
     if not np.isfinite(w_half) or w_half <= 0.0:
         raise ValueError(f"w(1/2) must be finite and positive to normalise, got {w_half}")
     s = 1.0 / w_half
-    scale = lambda fn: (None if fn is None else _as_array_fn(lambda c, _f=fn: s * np.asarray(_f(c))))
+    scale = lambda fn: (None if fn is None else lambda c, _f=fn: s * _f(c))
     return WeightFunction(
         w=scale(wf.w),
         w_prime=scale(wf.w_prime),
@@ -302,6 +286,5 @@ def synthesize_antiderivatives(wf: WeightFunction) -> WeightFunction:
         return wf
     if wf.is_pure_atomic:
         raise ValueError("cannot synthesize antiderivatives for a purely atomic weight")
-    W = wf.W if wf.W is not None else _as_array_fn(antiderivative(wf.w, 0.5))
-    Wbar = _as_array_fn(antiderivative(W, 0.5))
-    return replace(wf, W=W, Wbar=Wbar)
+    W = wf.W if wf.W is not None else antiderivative(wf.w, 0.5)
+    return replace(wf, W=W, Wbar=antiderivative(W, 0.5))

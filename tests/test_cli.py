@@ -241,6 +241,13 @@ class TestReconstructSymmetric:
                                       "--side", "lower"])
         assert result.exit_code == 3
 
+    def test_overflowing_completion_is_numeric_failure(self, runner):
+        # the completion integrand is finite but its panel sums overflow
+        result = runner.invoke(main, ["reconstruct-symmetric", "--half", '{"expr": "1e307*c"}',
+                                      "--side", "lower"])
+        assert result.exit_code == 3
+        assert "overflowed" in result.output
+
 
 class TestMarginLink:
     def test_exponential(self, runner):

@@ -178,6 +178,27 @@ class TestPanelFiniteness:
             warnings.simplefilter("ignore", RuntimeWarning)
             assert repr(numerics._gk15(f, a, b)) == repr(legacy_gk15(f, a, b))
 
+    @pytest.mark.parametrize("f", [
+        lambda x: np.full_like(x, 1e308),
+        lambda x: np.full_like(x, -1e308),
+        lambda x: np.where(x > 1.0, 1e308, 1.0),
+    ], ids=["max", "min", "half"])
+    @pytest.mark.parametrize("a,b", [(0.0, 2.0), (-1e300, 1e300)])
+    def test_integral_whose_panel_sum_overflows_raises_at_once(self, f, a, b):
+        calls = []
+
+        def counted(x):
+            calls.append(x.size)
+            if len(calls) > 100:
+                raise AssertionError("still splitting after 100 panels")
+            return f(x)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # overflow in the panel sums
+            with pytest.raises(IntegrationError, match="overflowed"):
+                integrate(counted, a, b)
+        assert len(calls) <= 3
+
 
 def _beta(a, b):
     return compile_expression(f"c^({a - 1:g})*(1-c)^({b - 1:g})")
