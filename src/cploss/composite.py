@@ -301,7 +301,9 @@ def duality_residual(W: Callable, x: float, y: float,
     """
     W, W_inv, Wbar, dual_antideriv = map(array_fn, (W, W_inv, Wbar, dual_antideriv))
     if W_inv is None:
-        W_inv = numeric_inverse(W)
+        # not the default 1 - 1e-15: a generator singular at 1 depends on 1 - c,
+        # which holds only about 9 ulps there, and no quadrature of it converges
+        W_inv = numeric_inverse(W, domain=(1e-12, 1.0 - 1e-12))
     if Wbar is None:
         Wbar = antiderivative(W, 0.5)
     if dual_antideriv is None:

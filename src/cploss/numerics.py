@@ -1,9 +1,9 @@
 """Deterministic scalar numerics used by every other module.
 
 The contract every held callable of cploss keeps (:func:`array_fn`),
-adaptive quadrature tolerant of integrable endpoint singularities, the
-anchored antiderivative built on it, bracketed scalar minimisation, the
-principal branch of the Lambert W function, and central finite differences.
+adaptive quadrature that meets its tolerance or raises, the anchored
+antiderivative built on it, bracketed scalar minimisation, the principal
+branch of the Lambert W function, and central finite differences.
 Everything here is pure and reentrant: no global mutable state, safe to call
 from multiple threads.
 """
@@ -38,7 +38,7 @@ class NumericsError(Exception):
 
 
 class IntegrationError(NumericsError):
-    """Adaptive quadrature ran out of depth or overflowed.
+    """Adaptive quadrature could not meet its tolerance, or overflowed.
 
     Attributes
     ----------
@@ -53,17 +53,13 @@ class IntegrationError(NumericsError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Error targets and subdivision limits for :func:`integrate`.
-
-    ``endpoint_shrink`` is the width below which an interval is accepted
-    without further refinement; it caps the recursion chain that forms
-    against an integrable endpoint singularity.
-    """
+    """Error targets and depth limit of :func:`integrate`: it returns once its
+    summed error estimate is at most ``max(abs_tol, rel_tol * |estimate|)``
+    and raises :class:`IntegrationError` at ``max_depth`` bisections."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_depth: int = 60
-    endpoint_shrink: float = 1e-12
 
     def __post_init__(self):
         if not self.abs_tol > 0:
@@ -72,8 +68,6 @@ class QuadratureSpec:
             raise ValueError("rel_tol must be positive")
         if self.max_depth < 1:
             raise ValueError("max_depth must be at least 1")
-        if not 0 < self.endpoint_shrink <= 1e-6:
-            raise ValueError("endpoint_shrink must lie in (0, 1e-6]")
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
@@ -157,27 +151,38 @@ def _gk15(f: Callable, a: float, b: float) -> tuple[float, float]:
     return k15, abs(k15 - g7)
 
 
-def _check_finite(lo: float, hi: float, est: float, err: float, total: float) -> None:
-    # A Kronrod sum that overflowed on finite values leaves a NaN error
-    # estimate, which no stopping test accepts: stop instead of splitting on.
-    if not (math.isfinite(est) and math.isfinite(err)):
-        raise IntegrationError(
-            f"quadrature sum overflowed on [{lo!r}, {hi!r}]: estimate {est!r}, error {err!r}",
-            estimate=total,
-        )
+# A panel narrower than this, relative to the size of its ends, is not split:
+# the outer nodes of its halves could round onto or past their ends.
+_NARROW = 1e3 * np.finfo(float).eps
+
+
+def _geometric_tail(s_prev: float, s: float) -> float | None:
+    """The integral between an end and its last two halving-annulus sums.
+
+    Bisecting the panel at an end cuts annuli ``[h/2, h]``, ``[h/4, h/2]``,
+    ... (as distances from the end) whose sums approach a constant ratio
+    ``r`` at an algebraic singularity.  The rest is then ``s * r / (1 - r)``,
+    the endpoint extrapolation of QUADPACK's QAGS; None when the sums do not
+    decay (``r`` outside (0, 1)).
+    """
+    r = s / s_prev if s_prev else 0.0
+    return s * r / (1.0 - r) if 0.0 < r < 1.0 else None
 
 
 def integrate(f: Callable, a: float, b: float,
               spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
-    """Estimate the integral of ``f`` over ``[a, b]``.
+    """Estimate the integral of ``f`` over ``[a, b]``, or raise.
 
-    ``f`` must accept an ndarray of evaluation points and return an ndarray
-    of values.  Quadrature nodes are strictly interior, so integrable
-    singularities at ``a`` or ``b`` are permitted: the adaptive bisection
-    refines toward them and stops once an interval is narrower than
-    ``spec.endpoint_shrink``.  Logarithmic endpoint singularities resolve to
-    the requested tolerance; algebraic ones (such as x**-0.5) bottom out
-    around 1e-7 absolute, the truncation cost of the width cutoff.
+    ``f`` must map an ndarray of points to an ndarray of values.  Globally
+    adaptive bisection splits the Gauss-Kronrod 7/15 panel with the largest
+    error estimate until the summed estimate is at most ``max(spec.abs_tol,
+    spec.rel_tol * |estimate|)``, its one way to return.  Nodes are strictly
+    interior, so ``f`` may be singular at ``a`` or ``b``.  Once an end panel
+    has been split twice, ``f`` is evaluated at both ends, once; at an end
+    where it is not finite, the end panel takes :func:`_geometric_tail` of its
+    annulus sums, with the change from the previous estimate of the same
+    interval as its error.  An end where ``f`` is finite gets plain
+    bisection, also when a singularity lies just beyond it.
 
     Raises
     ------
@@ -185,12 +190,12 @@ def integrate(f: Callable, a: float, b: float,
         If the integrand returns NaN/inf at an interior node or the bounds
         are invalid.
     IntegrationError
-        If ``spec.max_depth`` is exhausted before the tolerance is met, or a
-        panel's estimate or error overflows on finite values; the exception
-        carries the partial estimate.
+        If the panel to split is ``spec.max_depth`` bisections deep or too
+        narrow to split in floating point, or a panel's estimate or error
+        overflows on finite values; the exception carries the partial
+        estimate.
     """
-    a = float(a)
-    b = float(b)
+    a, b = float(a), float(b)
     if not (math.isfinite(a) and math.isfinite(b)):
         raise NumericsError("integration bounds must be finite")
     if a > b:
@@ -198,53 +203,42 @@ def integrate(f: Callable, a: float, b: float,
     if a == b:
         return 0.0
 
-    # Globally adaptive bisection: keep a worst-first queue of open panels
-    # and split the one with the largest error estimate until the total
-    # (open + frozen) error meets the tolerance.  Panels narrower than
-    # endpoint_shrink are frozen instead of split, which is what bounds the
-    # refinement chain that forms against an integrable endpoint
-    # singularity.
-    est0, err0 = _gk15(f, a, b)
-    _check_finite(a, b, est0, err0, est0)
+    total_est, total_err = _gk15(f, a, b)
     counter = itertools.count()
-    heap = [(-err0, next(counter), a, b, est0, 0)]
-    total_est = est0
-    open_err = err0
-    frozen_err = 0.0
-    while heap:
-        tol = max(spec.abs_tol, spec.rel_tol * abs(total_est))
-        # Stop when within tolerance, or when the open error is dominated by
-        # the irreducible frozen part (further splitting cannot help).
-        if open_err <= max(tol - frozen_err, 0.25 * frozen_err):
-            break
+    heap = [(-total_err, next(counter), a, b, total_est, 0)]
+    lo, hi = a, b
+    singular = None          # whether f is not finite at a and at b, once asked
+    annulus = [None, None]   # the last halving-annulus sum next to a and to b
+    while True:
+        if not (math.isfinite(total_est) and math.isfinite(total_err)):
+            raise IntegrationError(  # a Kronrod sum overflowed on finite values
+                f"quadrature sum overflowed on [{lo!r}, {hi!r}]: estimate {total_est!r}, "
+                f"error {total_err!r}", estimate=total_est)
+        if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total_est)):
+            return total_est
         neg_err, _, lo, hi, est, depth = heapq.heappop(heap)
-        err = -neg_err
-        if (hi - lo) <= spec.endpoint_shrink:
-            frozen_err += err
-            open_err -= err
-            continue
-        if depth >= spec.max_depth:
-            raise IntegrationError(
-                f"quadrature did not converge on [{lo!r}, {hi!r}] at depth {depth}",
-                estimate=total_est,
-            )
+        if depth >= spec.max_depth or hi - lo <= _NARROW * max(abs(lo), abs(hi)):
+            raise IntegrationError(f"quadrature did not converge on [{lo!r}, {hi!r}] "
+                                   f"(depth {depth}, width {hi - lo:.3g})", estimate=total_est)
         mid = 0.5 * (lo + hi)
-        left, lerr = _gk15(f, lo, mid)
-        right, rerr = _gk15(f, mid, hi)
+        halves = [_gk15(f, lo, mid), _gk15(f, mid, hi)]
+        for side, at_end in enumerate((lo == a, hi == b)):
+            if not at_end:
+                continue
+            s = halves[1 - side][0]   # the annulus next to the new end panel
+            if annulus[side] is not None:
+                if singular is None:
+                    with np.errstate(all="ignore"):
+                        singular = ~np.isfinite(np.asarray(f(np.array([a, b])), dtype=float))
+                tail = _geometric_tail(annulus[side], s) if singular[side] else None
+                if tail is not None:
+                    halves[side] = (tail, abs(s + tail - est))
+            annulus[side] = s
+        (left, lerr), (right, rerr) = halves
         total_est += left + right - est
-        _check_finite(lo, hi, left + right, lerr + rerr, total_est)
-        open_err += lerr + rerr - err
+        total_err += lerr + rerr + neg_err
         heapq.heappush(heap, (-lerr, next(counter), lo, mid, left, depth + 1))
         heapq.heappush(heap, (-rerr, next(counter), mid, hi, right, depth + 1))
-
-    total_err = open_err + frozen_err
-    tol = max(spec.abs_tol, spec.rel_tol * abs(total_est))
-    if total_err > max(1e6 * tol, 1e-3 * abs(total_est)):
-        raise IntegrationError(
-            f"quadrature error estimate {total_err!r} far exceeds tolerance {tol!r}",
-            estimate=total_est,
-        )
-    return total_est
 
 
 def antiderivative(f: Callable, anchor: float) -> Callable:

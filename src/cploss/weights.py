@@ -78,7 +78,9 @@ class WeightFunction:
         # is a sanity net, not a tolerance-grade integral).
         probe = np.linspace(1e-3, 1.0 - 1e-3, 257)
         pv = self.w(probe)
-        mass = float(np.trapezoid(pv, probe)) if hasattr(np, "trapezoid") else float(np.trapz(pv, probe))
+        trapezoid = np.trapezoid if hasattr(np, "trapezoid") else np.trapz
+        with np.errstate(all="ignore"):  # finite values near the float maximum overflow the sum
+            mass = float(trapezoid(pv, probe))
         if not np.isfinite(mass):
             raise ValueError(f"weight {self.name!r} has non-integrable interior mass")
         # Supplied antiderivatives must differentiate back to their integrands.

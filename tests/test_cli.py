@@ -2,11 +2,16 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import cploss
 from cploss.cli import main
 
 
@@ -354,6 +359,19 @@ def test_non_string_expression_is_a_usage_error(runner):
                                   "--y", "1", "--etahat", "0.3"])
     assert result.exit_code == 2, result.output
     assert "must be a string" in result.output
+
+
+def test_weight_near_the_float_maximum_is_rejected_without_a_warning():
+    # its interior mass overflows to inf; the probe that finds this must not
+    # print numpy's overflow RuntimeWarning above the usage error
+    src = str(Path(cploss.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "cploss", "eval", "--loss", '{"weight":{"expr":"1e308"}}',
+                           "--y", "1", "--etahat", "0.3"],
+                          capture_output=True, text=True, env=env, timeout=120, check=False)
+    assert proc.returncode == 2, proc.stderr
+    assert "has non-integrable interior mass" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 class TestNonFiniteNumbers:

@@ -103,8 +103,56 @@ class TestIntegrate:
             QuadratureSpec(abs_tol=0.0)
         with pytest.raises(ValueError):
             QuadratureSpec(max_depth=0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(endpoint_shrink=1e-3)
+
+
+def _within(got, want):
+    """|got - want| in units of the default tolerance of integrate."""
+    spec = numerics.DEFAULT_QUADRATURE
+    return abs(got - want) / max(spec.abs_tol, spec.rel_tol * abs(want))
+
+
+class TestEndpoints:
+    """Integrals that meet their tolerance or raise, near and at the ends."""
+
+    @pytest.mark.parametrize("p,want", [(0.5, 2.0), (0.9, 10.0)])
+    def test_power_singularity_at_an_end_is_exact(self, p, want):
+        assert abs(integrate(lambda x: x ** -p, 0.0, 1.0) - want) <= 1e-12
+
+    @pytest.mark.parametrize("p", [0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("d", [10.0 ** -k for k in range(2, 15)])
+    def test_singularity_just_beyond_an_end_is_bisected_to_tolerance(self, d, p):
+        want = ((1 + d) ** (1 - p) - d ** (1 - p)) / (1 - p)
+        assert _within(integrate(lambda x: (x + d) ** -p, 0.0, 1.0), want) <= 10
+
+    @pytest.mark.parametrize("f", [lambda x: 1 / x, lambda x: 1 / (1 - x),
+                                   lambda x: (1 - x) ** -2], ids=["1/x", "1/(1-x)", "(1-x)^-2"])
+    def test_divergent_integral_raises_integration_error(self, f):
+        with pytest.raises(IntegrationError):
+            integrate(f, 0.0, 1.0)
+
+    def test_singularity_just_beyond_an_end_near_one_raises(self):
+        # nodes within 1e-12 of 1 are rounded to 1e-4 of their distance from
+        # 1, so no panel rule there can meet the tolerance: no value comes back
+        with pytest.raises(IntegrationError):
+            integrate(lambda c: 1 / ((1 - c) * c), 0.5, 1 - 1e-12)
+
+    def test_incomplete_beta_integrals_against_scipy(self):
+        rng = np.random.default_rng(20261018)
+        misses = []
+        for _ in range(400):
+            a, b = rng.uniform(0.1, 3.0, size=2)
+            x = float(rng.uniform(0.001, 0.999))
+            f = lambda c, a=a, b=b: c ** (a - 1) * (1 - c) ** (b - 1)
+            whole = scipy.special.beta(a, b)
+            left = scipy.special.betainc(a, b, x) * whole
+            for lo, hi, want in ((0.0, x, left), (x, 1.0, whole - left)):
+                try:
+                    got = integrate(f, lo, hi)
+                except IntegrationError:
+                    continue
+                misses.append(_within(got, want))
+        assert max(misses) <= 100
+        assert sum(m > 10 for m in misses) <= 5
 
 
 def legacy_gk15(f, a, b):

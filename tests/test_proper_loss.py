@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from cploss.expressions import compile_expression
 from cploss.numerics import integrate
 from cploss.proper import (
     ImpropernessError,
@@ -110,6 +111,18 @@ class TestFromWeight:
         # ell_pos(e) = integral of (1-c)(1+c) over [e, 1] = 2/3 - e + e^3/3
         es = np.array([0.2, 0.5, 0.9])
         assert np.allclose(loss.ell_pos(es), 2 / 3 - es + es ** 3 / 3, rtol=0, atol=1e-12)
+
+    def test_quadrature_partials_of_the_boosting_expression_match_the_closed_form(self):
+        # both ends of c^-1.5 (1-c)^-1.5 are singular: each partial integral
+        # meets its tolerance through the geometric tail at its singular end
+        loss = from_weight(WeightFunction(w=compile_expression("c^-1.5*(1-c)^-1.5")))
+        ref = catalog_loss("boosting")
+        es = np.array([1e-4, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1 - 1e-4])
+        for got, want in ((loss.ell_pos(es), ref.ell_pos(es)), (loss.ell_neg(es), ref.ell_neg(es))):
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-8
+        for e in (0.2, 0.6, 0.9):
+            for y, partial in ((1, ref.ell_pos), (-1, ref.ell_neg)):
+                assert schervish_check(loss, y, e) == pytest.approx(float(partial(e)), rel=1e-9)
 
 
 class TestRisks:
