@@ -246,8 +246,11 @@ def canonical_link(wf: WeightFunction) -> Link:
     identically one.  The ``psi_prime`` of the returned link is the weight's
     own ``w`` callable (shared object), and ``q`` is :func:`numeric_inverse`
     of ``psi`` with that exact derivative, so it takes safeguarded Newton
-    steps: each costs one evaluation of ``psi`` (an antiderivative of ``w``,
-    a quadrature per point when it has no closed form) and one of ``w``.
+    steps: each costs one evaluation of ``psi`` and one of ``w``.  ``psi`` is
+    the weight's own ``W`` when it has one (the catalog weights, and the
+    exact piecewise-quadratic ``W`` of a table), else the one
+    :func:`~cploss.weights.synthesize_antiderivatives` fills in, one
+    quadrature per point.
     """
     if wf.has_atoms:
         raise ValueError("canonical link is undefined for weights with atoms")

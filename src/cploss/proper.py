@@ -131,10 +131,11 @@ def _dyadic_strictness(wf: WeightFunction) -> bool:
 def from_weight(wf: WeightFunction) -> ProperLoss:
     """Build the fair proper loss whose weight function is ``wf``.
 
-    Closed antiderivatives are used when the weight carries them; otherwise
-    the partial-loss integrals are evaluated by quadrature.  Atoms contribute
-    exact step terms.  Partial losses of non-definite weights evaluate to
-    +inf at the offending endpoint but remain usable on (0, 1).
+    Closed antiderivatives are used when the weight carries them (the
+    catalog weights and tables); otherwise the partial-loss integrals are
+    evaluated by quadrature.  Atoms contribute exact step terms.  Partial
+    losses of non-definite weights evaluate to +inf at the offending endpoint
+    but remain usable on (0, 1).
     """
     atoms = wf.atoms
 

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import antiderivative, array_fn, finite_diff
+from .numerics import QuadratureSpec, antiderivative, array_fn, local_means
 
 __all__ = [
     "WeightFunction",
@@ -27,9 +27,12 @@ __all__ = [
     "WEIGHT_CATALOG_INFO",
 ]
 
-# Sanity grid for construction-time checks; avoids 0.5 where piecewise
-# catalog entries (minimal) have a kink that degrades central differences.
+# Sanity grid for construction-time checks; avoids 0.5, where the minimal
+# catalog weight has its kink.
 _CHECK_GRID = np.array([0.1, 0.2, 0.3, 0.4, 0.45, 0.55, 0.6, 0.7, 0.8, 0.9])
+_CHECK_H = 1e-5
+# The default abs_tol of 1e-10 is 5e-6 of a mean over a check interval.
+_CHECK_QUADRATURE = QuadratureSpec(abs_tol=1e-16)
 
 
 @dataclass(frozen=True)
@@ -49,7 +52,10 @@ class WeightFunction:
     w_prime, W, Wbar : callable, optional
         Derivative of ``w`` and the antiderivatives of ``w`` and ``W``.  Any
         antiderivative constant is acceptable: every consumer is invariant
-        to it.
+        to it.  Each supplied antiderivative ``F`` of ``f`` is checked on a
+        fixed grid: ``(F(x+h) - F(x-h)) / 2h`` must match the mean of ``f``
+        over ``[x-h, x+h]`` to 1e-6 relative, by quadrature for ``W`` and by
+        the trapezoid rule on ``x-h, x, x+h`` for ``Wbar``.
     atoms : sequence of (location, mass)
         Point masses in (0, 1) with positive mass.
     """
@@ -84,17 +90,27 @@ class WeightFunction:
         if not np.isfinite(mass):
             raise ValueError(f"weight {self.name!r} has non-integrable interior mass")
         # Supplied antiderivatives must differentiate back to their integrands.
+        # (F(x+h) - F(x-h)) / 2h is exactly the mean of f over [x-h, x+h].
+        # For W that mean is taken by quadrature, which also finds the kink
+        # of w at a table knot; w(x) would be off by h/4 times the jump in w'
+        # at a knot on the grid.  For Wbar it is the two-panel trapezoid rule
+        # on W(x-h), W(x), W(x+h), which keeps to h^2 |w'| / 12 also where a
+        # repeated table knot at x puts a kink in W.
         if self.Wbar is not None and self.W is None:
             raise ValueError("Wbar supplied without W")
-        for F, f, label in ((self.W, self.w, "W inconsistent with w"),
-                            (self.Wbar, self.W, "Wbar inconsistent with W")):
-            if F is None:
-                continue
-            got = finite_diff(F, _CHECK_GRID, 1)
-            want = f(_CHECK_GRID)
-            bad = np.abs(got - want) > 1e-6 * np.maximum(1.0, np.abs(want))
+        if self.W is None:
+            return
+        x, h = _CHECK_GRID, _CHECK_H
+        lo, mid, hi = self.W(x - h), self.W(x), self.W(x + h)
+        checks = [((hi - lo) / (2.0 * h), local_means(self.w, x, h, _CHECK_QUADRATURE),
+                   "W inconsistent with w")]
+        if self.Wbar is not None:
+            checks.append(((self.Wbar(x + h) - self.Wbar(x - h)) / (2.0 * h),
+                           (lo + 2.0 * mid + hi) / 4.0, "Wbar inconsistent with W"))
+        for got, want, label in checks:
+            bad = ~(np.abs(got - want) <= 1e-6 * np.maximum(1.0, np.abs(want)))
             if bad.any():
-                raise ValueError(f"{label} for {self.name!r} at x={_CHECK_GRID[bad][0]}")
+                raise ValueError(f"{label} for {self.name!r} at x={x[bad][0]}")
 
     @property
     def has_atoms(self) -> bool:
@@ -193,26 +209,66 @@ def _minimal() -> WeightFunction:
 
 
 def _table(table: Sequence[Sequence[float]]) -> np.ndarray:
-    """The rows ``(x, y)`` of a table as an n-by-2 float array, n >= 2."""
+    """The rows ``(x, y)`` of a table as an n-by-2 float array, n >= 2, sorted
+    by ``x``; rows with equal ``x`` keep their order."""
     arr = np.asarray(table, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:
         raise ValueError("table must be a sequence of at least two (c, w) pairs")
-    return arr
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("table entries must be finite")
+    return arr[np.argsort(arr[:, 0], kind="stable")]
 
 
 def _interpolant(table: np.ndarray) -> Callable:
     """Piecewise-linear interpolant of the rows ``(x, y)`` of a :func:`_table` array."""
-    order = np.argsort(table[:, 0])
-    xs, ys = table[order, 0], table[order, 1]
+    xs, ys = table.T
     return lambda t: np.interp(t, xs, ys)
 
 
 def tabulated_weight(table: Sequence[Sequence[float]], name: str = "custom-tabulated") -> WeightFunction:
-    """Weight from a table of ``(c, w(c))`` pairs, linearly interpolated."""
+    """Weight from a table of ``(c, w(c))`` pairs, linearly interpolated.
+
+    ``w`` is ``np.interp`` of the rows sorted by ``c``: flat beyond the end
+    knots, and with a jump at a repeated ``c``.  ``W`` and ``Wbar`` are its
+    exact piecewise-quadratic and piecewise-cubic antiderivatives, built once
+    from cumulative segment integrals ``C_i`` of ``w`` and ``D_i`` of ``W``: on
+    the segment from knot ``x_i`` with value ``y_i`` and slope ``s_i``, at
+    ``d = c - x_i``,
+
+        W = C_i + y_i d + s_i d^2/2,  Wbar = D_i + C_i d + y_i d^2/2 + s_i d^3/6,
+
+    so a table never reaches quadrature.
+    """
     arr = _table(table)
     if np.any(arr[:, 1] < 0):
         raise ValueError("tabulated weight values must be nonnegative")
-    return WeightFunction(w=_interpolant(arr), name=name)
+    # Knot i starts segment i, of width dx_i and rise dy_i.  The first knot
+    # is doubled, so that a point left of the table falls in a segment of
+    # rise 0, as does one right of the last knot: np.interp's flat extension.
+    # s_i d is taken as (d / dx_i) dy_i, which also holds where dx_i is too
+    # small for the slope to be a float.
+    xs = np.concatenate([arr[:1, 0], arr[:, 0]])
+    ys = np.concatenate([arr[:1, 1], arr[:, 1]])
+    dx, dy = np.diff(xs), np.diff(ys)
+    C = np.concatenate([[0.0], np.cumsum(dx * (ys[:-1] + dy / 2.0))])
+    D = np.concatenate([[0.0], np.cumsum(dx * (C[:-1] + dx * (ys[:-1] / 2.0 + dy / 6.0)))])
+    width = np.append(np.where(dx > 0, dx, 1.0), 1.0)
+    rise = np.append(dy, 0.0)
+
+    def locate(c):
+        i = np.maximum(np.searchsorted(xs, c, side="right") - 1, 0)
+        d = c - xs[i]
+        return i, d, d / width[i] * rise[i]
+
+    def W(c):
+        i, d, r = locate(c)
+        return C[i] + d * (ys[i] + r / 2.0)
+
+    def Wbar(c):
+        i, d, r = locate(c)
+        return D[i] + d * (C[i] + d * (ys[i] / 2.0 + r / 6.0))
+
+    return WeightFunction(w=_interpolant(arr), W=W, Wbar=Wbar, name=name)
 
 
 WEIGHT_CATALOG_INFO: dict[str, str] = {

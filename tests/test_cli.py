@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -143,6 +144,16 @@ class TestCheckProper:
         errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
         assert errors == [f"Error: ell_pos has no finite slope at grid point x={first_bad!r}"]
 
+    @pytest.mark.parametrize("table", [[[math.nan, 1.0], [0.8, 1.0]], [[0.2, 1.0], [math.inf, 1.0]]])
+    def test_non_finite_tables_are_a_usage_error(self, runner, table):
+        partials = json.dumps({"ell_pos": {"table": table}, "ell_neg": {"expr": "c"}})
+        loss = json.dumps({"weight": {"table": table}})
+        for args in (["check-proper", "--partials", partials],
+                     ["eval", "--loss", loss, "--y", "1", "--etahat", "0.3"]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 2, result.output
+            assert "table entries must be finite" in result.output
+
     def test_two_row_tables_are_accepted(self, runner):
         # linear partials: both slope ratios are positive but never agree
         spec = json.dumps({"ell_pos": {"table": [[0, 0.5], [1, 0]]},
@@ -158,6 +169,12 @@ class TestCheckConvexity:
         assert doc["convex"] is False
         xs = [v["x"] for v in doc["violations"]]
         assert all(x < 0.25 + 2e-3 or x > 0.75 - 2e-3 for x in xs)
+
+    def test_table_with_its_canonical_link_is_convex(self, runner):
+        table = [[c, 1.0 + (7 * k % 5) / 4] for k, c in enumerate(np.linspace(0.02, 0.98, 10))]
+        doc = run_json(runner, ["check-convexity", "--loss",
+                                json.dumps({"weight": {"table": table}, "link": {"name": "canonical"}})])
+        assert doc["convex"] is True
 
     def test_strict_exit_code(self, runner):
         result = runner.invoke(main, ["check-convexity", "--loss",
