@@ -2,9 +2,8 @@
 
 The contract every held callable of cploss keeps (:func:`array_fn`),
 adaptive quadrature that meets its tolerance or raises, the anchored
-antiderivative and the local means built on it, bracketed scalar
-minimisation, the principal branch of the Lambert W function, and central
-finite differences.
+antiderivative built on it, bracketed scalar minimisation, the principal
+branch of the Lambert W function, and central finite differences.
 Everything here is pure and reentrant: no global mutable state, safe to call
 from multiple threads.
 """
@@ -28,7 +27,6 @@ __all__ = [
     "array_fn",
     "integrate",
     "antiderivative",
-    "local_means",
     "minimize_scalar",
     "lambert_w0",
     "finite_diff",
@@ -261,30 +259,6 @@ def antiderivative(f: Callable, anchor: float) -> Callable:
         return out
 
     return F
-
-
-def local_means(f: Callable, xs, h: float,
-                spec: QuadratureSpec = DEFAULT_QUADRATURE) -> np.ndarray:
-    """Mean of ``f`` over ``[x - h, x + h]`` for every ``x`` of the 1-d ``xs``;
-    NaN where :func:`integrate` raises.
-
-    All intervals first take one Gauss-Kronrod 7/15 panel each, in one call
-    of ``f``; an interval whose values are not all finite, or whose error
-    estimate misses the stopping rule of :func:`integrate`, is integrated by
-    it, which also finds a kink or a jump of ``f`` inside.
-    """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(f((xs[:, None] + h * _NODES).ravel()), dtype=float).reshape(-1, _NODES.size)
-    with np.errstate(all="ignore"):   # a non-finite panel falls back below
-        total = h * (ys @ _KRONROD_W)
-        err = np.abs(total - h * (ys @ _GAUSS_W))
-    out = total / (2.0 * h)
-    for i in np.flatnonzero(~(err <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total)))):
-        try:
-            out[i] = integrate(f, xs[i] - h, xs[i] + h, spec) / (2.0 * h)
-        except NumericsError:
-            out[i] = math.nan
-    return out
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0

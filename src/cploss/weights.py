@@ -12,12 +12,13 @@ threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import QuadratureSpec, antiderivative, array_fn, local_means
+from .numerics import NumericsError, QuadratureSpec, antiderivative, array_fn, integrate
 
 __all__ = [
     "WeightFunction",
@@ -31,8 +32,30 @@ __all__ = [
 # catalog weight has its kink.
 _CHECK_GRID = np.array([0.1, 0.2, 0.3, 0.4, 0.45, 0.55, 0.6, 0.7, 0.8, 0.9])
 _CHECK_H = 1e-5
-# The default abs_tol of 1e-10 is 5e-6 of a mean over a check interval.
-_CHECK_QUADRATURE = QuadratureSpec(abs_tol=1e-16)
+# 1e-8 of a mean over a check interval, a hundredth of the check's bound.
+_CHECK_QUADRATURE = QuadratureSpec(abs_tol=1e-8 * 2.0 * _CHECK_H, rel_tol=1e-8)
+
+
+def _check_mean(g: Callable, edges: list[float]) -> float:
+    """Mean of ``g`` from ``edges[0]`` to ``edges[-1]``, integrated piece by
+    piece between the ascending ``edges``; NaN where quadrature fails."""
+    try:
+        total = sum(integrate(g, a, b, _CHECK_QUADRATURE) for a, b in zip(edges, edges[1:]))
+    except NumericsError:
+        return math.nan
+    return total / (edges[-1] - edges[0])
+
+
+def _simpson_means(F: Callable, edges: list[list[float]]) -> np.ndarray:
+    """Mean of ``F`` from ``es[0]`` to ``es[-1]`` for each ``es`` of ``edges``,
+    by Simpson's rule on every piece between consecutive edges, in one call
+    of ``F``: exact where ``F`` is quadratic on each piece."""
+    p = np.array([a for es in edges for a in es[:-1]])
+    q = np.array([b for es in edges for b in es[1:]])
+    Fp, Fm, Fq = np.split(F(np.concatenate([p, 0.5 * (p + q), q])), 3)
+    owner = np.repeat(np.arange(len(edges)), [len(es) - 1 for es in edges])
+    total = np.bincount(owner, (q - p) * (Fp + 4.0 * Fm + Fq) / 6.0)
+    return total / np.array([es[-1] - es[0] for es in edges])
 
 
 @dataclass(frozen=True)
@@ -54,10 +77,13 @@ class WeightFunction:
         antiderivative constant is acceptable: every consumer is invariant
         to it.  Each supplied antiderivative ``F`` of ``f`` is checked on a
         fixed grid: ``(F(x+h) - F(x-h)) / 2h`` must match the mean of ``f``
-        over ``[x-h, x+h]`` to 1e-6 relative, by quadrature for ``W`` and by
-        the trapezoid rule on ``x-h, x, x+h`` for ``Wbar``.
+        over ``[x-h, x+h]`` to 1e-6 relative, piecewise between the
+        ``knots``: by quadrature for ``w``, by Simpson's rule for ``W``.
     atoms : sequence of (location, mass)
         Point masses in (0, 1) with positive mass.
+    knots : sequence of float
+        Points where ``w`` may jump or kink, as at the rows of a table; the
+        checks above take their means piecewise between them.
     """
 
     w: Callable
@@ -66,11 +92,13 @@ class WeightFunction:
     Wbar: Callable | None = None
     atoms: tuple[tuple[float, float], ...] = ()
     name: str = "custom"
+    knots: tuple[float, ...] = ()
 
     def __post_init__(self):
         for field in ("w", "w_prime", "W", "Wbar"):
             object.__setattr__(self, field, array_fn(getattr(self, field)))
         object.__setattr__(self, "atoms", tuple((float(c), float(m)) for c, m in self.atoms))
+        object.__setattr__(self, "knots", tuple(float(k) for k in self.knots))
         for c, m in self.atoms:
             if not 0.0 < c < 1.0:
                 raise ValueError(f"atom location must lie in (0,1), got {c}")
@@ -90,24 +118,29 @@ class WeightFunction:
         if not np.isfinite(mass):
             raise ValueError(f"weight {self.name!r} has non-integrable interior mass")
         # Supplied antiderivatives must differentiate back to their integrands.
-        # (F(x+h) - F(x-h)) / 2h is exactly the mean of f over [x-h, x+h].
-        # For W that mean is taken by quadrature, which also finds the kink
-        # of w at a table knot; w(x) would be off by h/4 times the jump in w'
-        # at a knot on the grid.  For Wbar it is the two-panel trapezoid rule
-        # on W(x-h), W(x), W(x+h), which keeps to h^2 |w'| / 12 also where a
-        # repeated table knot at x puts a kink in W.
+        # (F(x+h) - F(x-h)) / 2h is exactly the mean of F' over [x-h, x+h]:
+        # of w for W, and of W for Wbar.  Both means are taken piecewise
+        # between the knots inside, so that a kink or jump of w at a knot
+        # anywhere in the interval costs no accuracy: that of w by
+        # quadrature, that of W by Simpson's rule, exact for the piecewise-
+        # quadratic W of a table.  w(x) would be off by h/4 times the jump in
+        # w' at a knot on the grid, W(x) by h/4 times a jump in w there, and
+        # quadrature across a knot misses a jump between its outermost node
+        # and x +- h.  w is integrated in t = c - x, in which the ends and
+        # the knots, all within h of x, are exact.
         if self.Wbar is not None and self.W is None:
             raise ValueError("Wbar supplied without W")
         if self.W is None:
             return
-        x, h = _CHECK_GRID, _CHECK_H
-        lo, mid, hi = self.W(x - h), self.W(x), self.W(x + h)
-        checks = [((hi - lo) / (2.0 * h), local_means(self.w, x, h, _CHECK_QUADRATURE),
-                   "W inconsistent with w")]
+        x = _CHECK_GRID
+        lo, hi = x - _CHECK_H, x + _CHECK_H
+        edges = [[a, *sorted(k for k in self.knots if a < k < b), b] for a, b in zip(lo, hi)]
+        checks = [(self.W, [_check_mean(lambda t: self.w(x0 + t), [e - x0 for e in es])
+                            for x0, es in zip(x, edges)], "W inconsistent with w")]
         if self.Wbar is not None:
-            checks.append(((self.Wbar(x + h) - self.Wbar(x - h)) / (2.0 * h),
-                           (lo + 2.0 * mid + hi) / 4.0, "Wbar inconsistent with W"))
-        for got, want, label in checks:
+            checks.append((self.Wbar, _simpson_means(self.W, edges), "Wbar inconsistent with W"))
+        for F, want, label in checks:
+            got = (F(hi) - F(lo)) / (hi - lo)
             bad = ~(np.abs(got - want) <= 1e-6 * np.maximum(1.0, np.abs(want)))
             if bad.any():
                 raise ValueError(f"{label} for {self.name!r} at x={x[bad][0]}")
@@ -237,7 +270,9 @@ def tabulated_weight(table: Sequence[Sequence[float]], name: str = "custom-tabul
 
         W = C_i + y_i d + s_i d^2/2,  Wbar = D_i + C_i d + y_i d^2/2 + s_i d^3/6,
 
-    so a table never reaches quadrature.
+    so a table's values never reach quadrature.  The rows are its ``knots``,
+    between which the construction checks of :class:`WeightFunction` take
+    their means.
     """
     arr = _table(table)
     if np.any(arr[:, 1] < 0):
@@ -268,7 +303,8 @@ def tabulated_weight(table: Sequence[Sequence[float]], name: str = "custom-tabul
         i, d, r = locate(c)
         return D[i] + d * (C[i] + d * (ys[i] / 2.0 + r / 6.0))
 
-    return WeightFunction(w=_interpolant(arr), W=W, Wbar=Wbar, name=name)
+    return WeightFunction(w=_interpolant(arr), W=W, Wbar=Wbar, name=name,
+                          knots=tuple(np.unique(arr[:, 0])))
 
 
 WEIGHT_CATALOG_INFO: dict[str, str] = {
@@ -335,6 +371,7 @@ def normalize_weight(wf: WeightFunction) -> WeightFunction:
         Wbar=scale(wf.Wbar),
         atoms=tuple((c, s * m) for c, m in wf.atoms),
         name=f"{wf.name}-normalized",
+        knots=wf.knots,
     )
 
 

@@ -25,7 +25,6 @@ from cploss.numerics import (
     finite_diff,
     integrate,
     lambert_w0,
-    local_means,
     minimize_scalar,
 )
 
@@ -386,30 +385,6 @@ class TestAntiderivative:
         assert F(xs).shape == (2, 2)
         assert np.allclose(F(xs), xs ** 2, rtol=0, atol=1e-14)
         assert np.ndim(F(0.5)) == 0
-
-
-class TestLocalMeans:
-    def test_smooth_means_take_one_panel_each(self):
-        calls = []
-        f = lambda c: (calls.append(c.size), np.exp(c))[1]
-        xs = np.array([0.1, 0.45, 0.9])
-        got = local_means(f, xs, 1e-3)
-        want = (np.exp(xs + 1e-3) - np.exp(xs - 1e-3)) / 2e-3
-        assert np.allclose(got, want, rtol=1e-12, atol=0)
-        assert calls == [45]
-
-    def test_kink_and_jump_inside_are_integrated(self):
-        # |c - 0.3| has its kink at a centre, the step its jump off-centre
-        f = lambda c: np.abs(c - 0.3) + (c > 0.7 + 3e-4)
-        got = local_means(f, np.array([0.3, 0.7]), 1e-3, QuadratureSpec(abs_tol=1e-16))
-        assert got[0] == pytest.approx(5e-4, rel=1e-10)
-        assert got[1] == pytest.approx(0.4 + 0.35, rel=1e-10)
-
-    def test_failed_integral_is_nan(self):
-        f = numerics.array_fn(lambda c: 1.0 / np.abs(c - 0.5001))
-        got = local_means(f, np.array([0.2, 0.5]), 1e-3)
-        assert got[0] == pytest.approx(math.log(0.3011 / 0.2991) / 2e-3, rel=1e-12)
-        assert math.isnan(got[1])
 
 
 class TestFiniteDiff:

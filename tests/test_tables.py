@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from cploss.links import canonical_link
 from cploss.proper import from_weight
-from cploss.weights import WeightFunction, catalog_weight, tabulated_weight
+from cploss.weights import WeightFunction, catalog_weight, normalize_weight, tabulated_weight
 
 CHECK_GRID = (0.1, 0.2, 0.3, 0.4, 0.45, 0.55, 0.6, 0.7, 0.8, 0.9)
 
@@ -60,7 +60,10 @@ def _tolerance(rows) -> float:
     return 1e-12 * wmax * (1.0 + max(cs) - min(cs)) ** 2
 
 
-_knot = st.one_of(st.floats(-0.5, 1.5), st.sampled_from(CHECK_GRID + (0.0, 0.5, 1.0)))
+# knots anywhere, on the check grid, and within 1.5 check steps of it
+_knot = st.one_of(st.floats(-0.5, 1.5), st.sampled_from(CHECK_GRID + (0.0, 0.5, 1.0)),
+                  st.builds(lambda g, d: g + d, st.sampled_from(CHECK_GRID),
+                            st.floats(-1.5e-5, 1.5e-5)))
 
 
 def _tables(w_min):
@@ -113,6 +116,24 @@ def test_repeated_knot_on_the_check_grid_is_a_jump():
     assert float(wf.W(0.5) - wf.W(0.2)) == pytest.approx(0.1 * 1.0 + 0.2 * 5.0, rel=1e-13)
 
 
+# a jump inside a check interval [x - 1e-5, x + 1e-5], off its centre: midway,
+# and between the outermost quadrature node of the interval and its end
+@pytest.mark.parametrize("knot", [0.3 + 5e-6, 0.3 - 3e-6, 0.3 + 1e-5 - 1e-9, 0.9 - 1e-5 + 1e-12,
+                                  0.9 + 1e-5])
+@pytest.mark.parametrize("low, high", [(1.0, 5.0), (0.0, 1e6), (1e4, 0.0)])
+def test_jump_near_a_check_point_is_accepted(knot, low, high):
+    rows = [[0.1, low], [knot, low], [knot, high], [0.95, high]]
+    wf = tabulated_weight(rows)
+    xs = np.array([0.2, knot - 2e-6, knot, knot + 2e-6, 0.5])
+    tol = _tolerance(rows)
+    W_half, Wbar_half = float(wf.W(0.5)), float(wf.Wbar(0.5))
+    for x, Wx, Wbarx in zip(xs, wf.W(xs), wf.Wbar(xs)):
+        assert abs((Wx - W_half) - _W_ref(rows, 0.5, x)) <= tol
+        assert abs(Wbarx - Wbar_half - (x - 0.5) * W_half - _Wbar_ref(rows, 0.5, x)) <= tol
+    if float(wf.w(0.5)) > 0:   # the scaled copy keeps the knots for its checks
+        assert normalize_weight(wf).knots == wf.knots
+
+
 def test_unsorted_rows_give_the_sorted_table():
     rows = [[0.7, 2.0], [0.1, 1.0], [0.4, 3.0]]
     xs = np.linspace(0.0, 1.0, 11)
@@ -140,6 +161,15 @@ class TestAntiderivativeChecks:
         log = catalog_weight("log")
         with pytest.raises(ValueError, match="Wbar inconsistent with W"):
             WeightFunction(w=log.w, W=log.W, Wbar=lambda c: (1.0 + 1e-5) * log.Wbar(c))
+
+    @pytest.mark.parametrize("field, label", [("W", "W inconsistent with w"),
+                                              ("Wbar", "Wbar inconsistent with W")])
+    def test_scaled_table_antiderivative_is_rejected(self, field, label):
+        table = tabulated_weight([[0.1, 1.0], [0.3 + 5e-6, 1.0], [0.3 + 5e-6, 5.0], [0.9, 5.0]])
+        fields = {"w": table.w, "W": table.W, "Wbar": table.Wbar, "knots": table.knots}
+        fields[field] = lambda c, f=fields[field]: (1.0 + 1e-5) * f(c)
+        with pytest.raises(ValueError, match=label):
+            WeightFunction(**fields)
 
     def test_failed_check_integral_is_a_mismatch(self):
         # w is finite on the grid, and W its antiderivative away from the
