@@ -48,6 +48,8 @@ class _FiniteFloat(click.ParamType):
 
 
 FINITE = _FiniteFloat()
+# A grid of at least 3 points, for the commands that build one.
+_GRID_SIZE = click.IntRange(min=3)
 
 
 def _jsonify(obj):
@@ -239,13 +241,11 @@ def risk(spec: str, eta: float, etahat: float | None,
 @main.command("check-proper")
 @click.option("--partials", "partials_file", required=True,
               help="JSON with 'ell_pos' and 'ell_neg' entries (expr or table)")
-@click.option("--grid-size", type=int, default=99, show_default=True)
+@click.option("--grid-size", type=_GRID_SIZE, default=99, show_default=True)
 @click.option("--strict", is_flag=True, help="exit 1 when the pair is not proper")
 @numeric_guard
 def check_proper_cmd(partials_file: str, grid_size: int, strict: bool) -> None:
     """Test a pair of partial losses for properness (slope-ratio condition)."""
-    if grid_size < 3:
-        raise click.UsageError("grid size must be at least 3")
     doc = _load_document(partials_file)
     if "ell_pos" not in doc or "ell_neg" not in doc:
         raise click.UsageError("partials document needs 'ell_pos' and 'ell_neg'")
@@ -270,15 +270,13 @@ def check_proper_cmd(partials_file: str, grid_size: int, strict: bool) -> None:
 @click.option("--loss", "spec", required=True)
 @click.option("--oracle", "use_oracle", is_flag=True,
               help="brute-force second differences instead of the slope condition")
-@click.option("--grid-size", type=int, default=999, show_default=True)
+@click.option("--grid-size", type=_GRID_SIZE, default=999, show_default=True)
 @click.option("--tol", type=FINITE, default=None, help="certification tolerance")
 @click.option("--strict", is_flag=True, help="exit 1 when not convex")
 @numeric_guard
 def check_convexity(spec: str, use_oracle: bool, grid_size: int,
                     tol: float | None, strict: bool) -> None:
     """Certify convexity of a composite loss on a grid."""
-    if grid_size < 3:
-        raise click.UsageError("grid size must be at least 3")
     if tol is not None and tol <= 0:
         raise click.UsageError("tolerance must be positive")
     loss, link = _parse_loss(spec)
@@ -305,12 +303,10 @@ def check_convexity(spec: str, use_oracle: bool, grid_size: int,
 @main.command()
 @click.option("--link", "link_name", required=True)
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
-@click.option("--grid-size", type=int, default=999, show_default=True)
+@click.option("--grid-size", type=_GRID_SIZE, default=999, show_default=True)
 @numeric_guard
 def region(link_name: str, out_path: str, grid_size: int) -> None:
     """Export the convexity-compatible weight envelopes as x,lower,upper CSV."""
-    if grid_size < 3:
-        raise click.UsageError("grid size must be at least 3")
     try:
         link = catalog_link(link_name)
     except ValueError as err:
@@ -342,15 +338,13 @@ def check_calibration(spec: str, threshold: float, strict: bool) -> None:
 @click.option("--half", "half_file", required=True,
               help="JSON with an 'expr' or 'table' for the specified half")
 @click.option("--side", type=click.Choice(["lower", "upper"]), required=True)
-@click.option("--grid-size", type=int, default=99, show_default=True)
+@click.option("--grid-size", type=_GRID_SIZE, default=99, show_default=True)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
               help="write the completed partial as x,ell_neg CSV")
 @numeric_guard
 def reconstruct_symmetric_cmd(half_file: str, side: str, grid_size: int,
                               out_path: str | None) -> None:
     """Complete a symmetric loss from half of its negative partial."""
-    if grid_size < 3:
-        raise click.UsageError("grid size must be at least 3")
     doc = _load_document(half_file)
     half = _build_callable(doc, "half partial")
     try:
@@ -389,14 +383,12 @@ def _parse_margin(name_spec: str) -> composite.MarginLoss:
 
 @main.command("margin-link")
 @click.option("--phi", "phi_spec", required=True, help="exponential | logistic | zhang:ALPHA")
-@click.option("--grid-size", type=int, default=99, show_default=True)
+@click.option("--grid-size", type=_GRID_SIZE, default=99, show_default=True)
 @click.option("--v-max", type=FINITE, default=8.0, show_default=True)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
 @numeric_guard
 def margin_link(phi_spec: str, grid_size: int, v_max: float, out_path: str | None) -> None:
     """The unique link turning a margin loss into a proper composite (v,q CSV)."""
-    if grid_size < 3:
-        raise click.UsageError("grid size must be at least 3")
     m = _parse_margin(phi_spec)
     try:
         link = composite.margin_to_link(m)

@@ -17,8 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import NumericsError, array_fn
-from .weights import WeightFunction, synthesize_antiderivatives
+from .numerics import NumericsError, antiderivative, array_fn
+from .weights import WeightFunction
 
 __all__ = [
     "Link",
@@ -150,70 +150,49 @@ def numeric_inverse(psi: Callable, tol: float = 1e-12,
     return array_fn(q)
 
 
-def _identity() -> Link:
-    return Link(
+# The catalog links, built and checked once, at import, and shared: every
+# Link is immutable.
+_CATALOG: dict[str, Link] = {link.name: link for link in (
+    Link(
         psi=lambda x: x,
         psi_prime=lambda x: np.ones_like(x),
         psi_second=lambda x: np.zeros_like(x),
         q=lambda v: v,
         range=(0.0, 1.0),
         name="identity",
-    )
-
-
-def _logit() -> Link:
-    def q(v):
-        return np.where(v >= 0, 1.0 / (1.0 + np.exp(-v)),
-                        np.exp(v) / (1.0 + np.exp(v)))
-
-    return Link(
+    ),
+    Link(
         psi=lambda x: np.log(x / (1.0 - x)),
         psi_prime=lambda x: 1.0 / (x * (1.0 - x)),
         psi_second=lambda x: (2.0 * x - 1.0) / (x * (1.0 - x)) ** 2,
-        q=q,
+        q=lambda v: np.where(v >= 0, 1.0 / (1.0 + np.exp(-v)), np.exp(v) / (1.0 + np.exp(v))),
         name="logit",
-    )
-
-
-def _cll() -> Link:
+    ),
     # psi(x) = log(-log(1-x)); q(v) = 1 - exp(-exp(v))
-    def psi_prime(x):
-        L = -np.log(1.0 - x)
-        return 1.0 / ((1.0 - x) * L)
-
-    def psi_second(x):
-        L = -np.log(1.0 - x)
-        return (L - 1.0) / ((1.0 - x) * L) ** 2
-
-    return Link(
+    Link(
         psi=lambda x: np.log(-np.log(1.0 - x)),
-        psi_prime=psi_prime,
-        psi_second=psi_second,
+        psi_prime=lambda x: 1.0 / ((1.0 - x) * -np.log(1.0 - x)),
+        psi_second=lambda x: (-np.log(1.0 - x) - 1.0) / ((1.0 - x) * -np.log(1.0 - x)) ** 2,
         q=lambda v: -np.expm1(-np.exp(v)),
         name="cll",
-    )
-
-
-def _square_link() -> Link:
-    return Link(
+    ),
+    Link(
         psi=lambda x: x * x,
         psi_prime=lambda x: 2.0 * x,
         psi_second=lambda x: 2.0 * np.ones_like(x),
         q=lambda v: np.sqrt(np.maximum(v, 0.0)),
         range=(0.0, 1.0),
         name="square-link",
-    )
-
-
-def _cosine() -> Link:
-    return Link(
+    ),
+    Link(
         psi=lambda x: 1.0 - np.cos(np.pi * x),
         psi_prime=lambda x: np.pi * np.sin(np.pi * x),
         psi_second=lambda x: np.pi ** 2 * np.cos(np.pi * x),
         q=lambda v: np.arccos(np.clip(1.0 - v, -1.0, 1.0)) / np.pi,
         range=(0.0, 2.0),
         name="cosine",
-    )
+    ),
+)}
 
 
 LINK_CATALOG_INFO: dict[str, str] = {
@@ -226,17 +205,11 @@ LINK_CATALOG_INFO: dict[str, str] = {
 
 
 def catalog_link(name: str) -> Link:
-    """Construct a catalog link by name."""
-    builders = {
-        "identity": _identity,
-        "logit": _logit,
-        "cll": _cll,
-        "square-link": _square_link,
-        "cosine": _cosine,
-    }
-    if name not in builders:
+    """The catalog link named ``name``: built and checked once, at import, and
+    shared by every call."""
+    if name not in _CATALOG:
         raise ValueError(f"unknown link name {name!r}")
-    return builders[name]()
+    return _CATALOG[name]
 
 
 def canonical_link(wf: WeightFunction) -> Link:
@@ -248,19 +221,20 @@ def canonical_link(wf: WeightFunction) -> Link:
     of ``psi`` with that exact derivative, so it takes safeguarded Newton
     steps: each costs one evaluation of ``psi`` and one of ``w``.  ``psi`` is
     the weight's own ``W`` when it has one (the catalog weights, and the
-    exact piecewise-quadratic ``W`` of a table), else the one
-    :func:`~cploss.weights.synthesize_antiderivatives` fills in, one
-    quadrature per point.
+    exact piecewise-quadratic ``W`` of a table), else
+    ``antiderivative(w, 1/2)``, one quadrature per point; the weight itself
+    is neither rebuilt nor checked again.  Where ``psi`` cannot be evaluated
+    at ``1e-12`` (or ``1 - 1e-12``), as quadrature up to a strong endpoint
+    singularity may not be, the nearest of the offsets ``1e-9``, ``1e-6``
+    and ``1e-4`` that gives a finite value ends the domain of ``q`` and the
+    score range.
     """
     if wf.has_atoms:
         raise ValueError("canonical link is undefined for weights with atoms")
-    wf = synthesize_antiderivatives(wf)
-    W_half = float(wf.W(0.5))
-    psi = lambda x, _W=wf.W: _W(x) - W_half
+    W = wf.W if wf.W is not None else array_fn(antiderivative(wf.w, 0.5))
+    W_half = float(W(0.5))
+    psi = lambda x: W(x) - W_half
 
-    # A synthesized antiderivative of a weight with a strong endpoint
-    # singularity may not be evaluable arbitrarily close to 0 or 1; back off
-    # to the nearest offset that works and treat it as the score range.
     def probe(side: float) -> tuple[float, float]:
         for eps in (1e-12, 1e-9, 1e-6, 1e-4):
             x = eps if side == 0.0 else 1.0 - eps

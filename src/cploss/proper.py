@@ -279,7 +279,10 @@ def schervish_check(loss, y: int, etahat: float) -> float:
 
     Returns ``integral over c of ell_c(y, etahat) * w(c) dc`` plus the atom
     contributions; for a fair proper loss this reproduces the partial loss.
-    A divergent tail is truncated with a warning.
+    The integral is taken piece by piece between the weight's ``knots``
+    inside its interval, so quadrature never spans a kink or jump of a
+    table.  A divergent piece is truncated with a warning, and its partial
+    estimate enters the sum.
     """
     if y not in (1, -1):
         raise ValueError("y must be +1 or -1")
@@ -299,11 +302,14 @@ def schervish_check(loss, y: int, etahat: float) -> float:
     else:
         f = lambda c: (1.0 - c) * wf.w(c)
         a, b = etahat, 1.0
-    try:
-        val = integrate(f, a, b)
-    except IntegrationError as err:
-        warnings.warn(f"mixture integral truncated: {err}", RuntimeWarning)
-        val = err.estimate
+    edges = [a, *sorted(k for k in wf.knots if a < k < b), b]
+    val = 0.0
+    for lo, hi in zip(edges, edges[1:]):
+        try:
+            val += integrate(f, lo, hi)
+        except IntegrationError as err:
+            warnings.warn(f"mixture integral truncated: {err}", RuntimeWarning)
+            val += err.estimate
     return val + atom_term
 
 

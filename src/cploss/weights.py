@@ -13,12 +13,12 @@ threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import NumericsError, QuadratureSpec, antiderivative, array_fn, integrate
+from .numerics import NumericsError, QuadratureSpec, array_fn, integrate
 
 __all__ = [
     "WeightFunction",
@@ -164,81 +164,61 @@ class WeightFunction:
         return mirrored == sorted((round(c, 12), m) for c, m in self.atoms)
 
 
-def _square() -> WeightFunction:
-    return WeightFunction(
+# The parameterless catalog weights, built and checked once, at import, and
+# shared: every WeightFunction is immutable.
+_CATALOG: dict[str, WeightFunction] = {wf.name: wf for wf in (
+    WeightFunction(
         w=lambda c: np.ones_like(c),
         w_prime=lambda c: np.zeros_like(c),
         W=lambda c: c,
         Wbar=lambda c: c * c / 2.0,
         name="square",
-    )
-
-
-def _log() -> WeightFunction:
-    return WeightFunction(
+    ),
+    WeightFunction(
         w=lambda c: 1.0 / ((1.0 - c) * c),
         w_prime=lambda c: (2.0 * c - 1.0) / ((1.0 - c) * c) ** 2,
         W=lambda c: np.log(c / (1.0 - c)),
         Wbar=lambda c: (np.where(c > 0, c * np.log(np.maximum(c, 1e-300)), 0.0)
                         + np.where(c < 1, (1.0 - c) * np.log(np.maximum(1.0 - c, 1e-300)), 0.0)),
         name="log",
-    )
-
-
-def _boosting() -> WeightFunction:
-    return WeightFunction(
+    ),
+    WeightFunction(
         w=lambda c: ((1.0 - c) * c) ** -1.5,
         w_prime=lambda c: 1.5 * (2.0 * c - 1.0) * ((1.0 - c) * c) ** -2.5,
         W=lambda c: 2.0 * (2.0 * c - 1.0) / np.sqrt(c * (1.0 - c)),
         Wbar=lambda c: -4.0 * np.sqrt(c * (1.0 - c)),
         name="boosting",
-    )
-
-
-def _one_over_c() -> WeightFunction:
-    return WeightFunction(
+    ),
+    WeightFunction(
         w=lambda c: 1.0 / c,
         w_prime=lambda c: -1.0 / c ** 2,
         W=lambda c: np.log(c),
         Wbar=lambda c: np.where(c > 0, c * np.log(np.maximum(c, 1e-300)) - c, 0.0),
         name="w1-over-c",
-    )
-
-
-def _one_over_1mc() -> WeightFunction:
-    return WeightFunction(
+    ),
+    WeightFunction(
         w=lambda c: 1.0 / (1.0 - c),
         w_prime=lambda c: 1.0 / (1.0 - c) ** 2,
         W=lambda c: -np.log(1.0 - c),
         Wbar=lambda c: np.where(c < 1, (1.0 - c) * np.log(np.maximum(1.0 - c, 1e-300)), 0.0) + c,
         name="w1-over-1mc",
-    )
-
-
-def _minimal() -> WeightFunction:
+    ),
     # Lower envelope of the identity-link convexity region: the pointwise
     # smallest weight (normalised to w(1/2)=1) whose loss is still convex.
-    def w(c):
-        return 0.5 * np.minimum(1.0 / c, 1.0 / (1.0 - c))
-
-    def w_prime(c):
-        # subgradient convention at the kink: 0 (interior of [-2, 2])
-        out = np.where(c < 0.5, 0.5 / (1.0 - c) ** 2, -0.5 / c ** 2)
-        return np.where(c == 0.5, 0.0, out)
-
-    def W(c):
-        low = -0.5 * np.log(2.0 * np.maximum(1.0 - c, 1e-300))
-        high = 0.5 * np.log(2.0 * np.maximum(c, 1e-300))
-        return np.where(c < 0.5, low, high)
-
-    def Wbar(c):
-        cm = np.maximum(c, 1e-300)
-        om = np.maximum(1.0 - c, 1e-300)
-        low = 0.5 * ((1.0 - c) * np.log(2.0 * om) + c) - 0.25
-        high = 0.5 * (c * np.log(2.0 * cm) - c) + 0.25
-        return np.where(c < 0.5, low, high)
-
-    return WeightFunction(w=w, w_prime=w_prime, W=W, Wbar=Wbar, name="minimal")
+    # At the kink w_prime takes the subgradient 0 (interior of [-2, 2]).
+    WeightFunction(
+        w=lambda c: 0.5 * np.minimum(1.0 / c, 1.0 / (1.0 - c)),
+        w_prime=lambda c: np.where(c == 0.5, 0.0,
+                                   np.where(c < 0.5, 0.5 / (1.0 - c) ** 2, -0.5 / c ** 2)),
+        W=lambda c: np.where(c < 0.5, -0.5 * np.log(2.0 * np.maximum(1.0 - c, 1e-300)),
+                             0.5 * np.log(2.0 * np.maximum(c, 1e-300))),
+        Wbar=lambda c: np.where(
+            c < 0.5, 0.5 * ((1.0 - c) * np.log(2.0 * np.maximum(1.0 - c, 1e-300)) + c) - 0.25,
+            0.5 * (c * np.log(2.0 * np.maximum(c, 1e-300)) - c) + 0.25),
+        name="minimal",
+    ),
+    WeightFunction(w=np.zeros_like, atoms=((0.5, 2.0),), name="zero-one"),
+)}
 
 
 def _table(table: Sequence[Sequence[float]]) -> np.ndarray:
@@ -321,26 +301,16 @@ WEIGHT_CATALOG_INFO: dict[str, str] = {
 
 
 def catalog_weight(name: str, params: dict | None = None) -> WeightFunction:
-    """Construct a catalog weight function by name.
+    """The catalog weight named ``name``.
 
-    ``cost`` requires ``params={"c0": ...}`` with c0 in (0,1);
-    ``custom-tabulated`` requires ``params={"table": [[c, w], ...]}``.
+    The parameterless weights are built and checked once, at import, and
+    every call returns that same shared instance.  ``cost`` requires
+    ``params={"c0": ...}`` with c0 in (0,1), and ``custom-tabulated``
+    requires ``params={"table": [[c, w], ...]}``; each call builds a new one.
     """
+    if name in _CATALOG:
+        return _CATALOG[name]
     params = dict(params or {})
-    if name == "square":
-        return _square()
-    if name == "log":
-        return _log()
-    if name == "boosting":
-        return _boosting()
-    if name == "w1-over-c":
-        return _one_over_c()
-    if name == "w1-over-1mc":
-        return _one_over_1mc()
-    if name == "minimal":
-        return _minimal()
-    if name == "zero-one":
-        return WeightFunction(w=np.zeros_like, atoms=((0.5, 2.0),), name="zero-one")
     if name == "cost":
         c0 = params.get("c0")
         if c0 is None or not 0.0 < float(c0) < 1.0:
@@ -374,12 +344,3 @@ def normalize_weight(wf: WeightFunction) -> WeightFunction:
         knots=wf.knots,
     )
 
-
-def synthesize_antiderivatives(wf: WeightFunction) -> WeightFunction:
-    """Fill in missing W and Wbar numerically, anchored at W(1/2) = Wbar(1/2) = 0."""
-    if wf.W is not None and wf.Wbar is not None:
-        return wf
-    if wf.is_pure_atomic:
-        raise ValueError("cannot synthesize antiderivatives for a purely atomic weight")
-    W = wf.W if wf.W is not None else antiderivative(wf.w, 0.5)
-    return replace(wf, W=W, Wbar=antiderivative(W, 0.5))

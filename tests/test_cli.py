@@ -413,5 +413,25 @@ class TestNonFiniteNumbers:
         json.loads(text, parse_constant=lambda name: pytest.fail(f"non-JSON {name}"))
 
 
+# valid arguments for every command that builds a grid of --grid-size points
+_GRID_COMMANDS = {
+    "check-proper": ["--partials", '{"ell_pos": {"expr": "(1-c)^2/2"}, "ell_neg": {"expr": "c^2/2"}}'],
+    "check-convexity": ["--loss", '{"weight": {"name": "square"}, "link": {"name": "identity"}}'],
+    "region": ["--link", "logit", "--out", "region.csv"],
+    "reconstruct-symmetric": ["--half", '{"expr": "1/(1-c)"}', "--side", "lower"],
+    "margin-link": ["--phi", "logistic"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_GRID_COMMANDS))
+def test_grid_size_below_three_is_a_usage_error(runner, tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    args = [command, *_GRID_COMMANDS[command], "--grid-size"]
+    assert runner.invoke(main, args + ["3"]).exit_code == 0
+    result = runner.invoke(main, args + ["2"])
+    assert result.exit_code == 2
+    assert "--grid-size" in result.output
+
+
 def test_unknown_command_is_usage_error(runner):
     assert runner.invoke(main, ["frobnicate"]).exit_code == 2

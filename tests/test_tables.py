@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cploss.links import canonical_link
-from cploss.proper import from_weight
+from cploss.proper import from_weight, schervish_check
 from cploss.weights import WeightFunction, catalog_weight, normalize_weight, tabulated_weight
 
 CHECK_GRID = (0.1, 0.2, 0.3, 0.4, 0.45, 0.55, 0.6, 0.7, 0.8, 0.9)
@@ -147,6 +147,23 @@ def test_unsorted_rows_give_the_sorted_table():
 def test_non_finite_table_entries_are_rejected(rows):
     with pytest.raises(ValueError, match="finite"):
         tabulated_weight(rows)
+
+
+def _library_table(n):
+    """The 5-, 10- and 50-knot tables of the benchmark's synthesis study."""
+    rng = np.random.default_rng([20091217, n])
+    cs = np.array([0.1, 0.3, 0.5, 0.7, 0.9]) if n == 5 else np.linspace(0.02, 0.98, n)
+    return np.column_stack([cs, np.round(rng.uniform(0.5, 2.0, n), 6)])
+
+
+@pytest.mark.parametrize("n", [5, 10, 50])
+def test_schervish_mixture_of_a_table_matches_its_partials(n):
+    # quadrature across a knot can miss the kink there by 1e-6 in silence;
+    # taken piecewise between the knots, the mixture is exact to rounding
+    loss = from_weight(tabulated_weight(_library_table(n)))
+    for e in np.linspace(0.02, 0.98, 97):
+        for y, partial in ((1, loss.ell_pos), (-1, loss.ell_neg)):
+            assert schervish_check(loss, y, e) == pytest.approx(float(partial(e)), rel=1e-11)
 
 
 class TestAntiderivativeChecks:

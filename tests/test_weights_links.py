@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cploss import weights
 from cploss.links import canonical_link, catalog_link, numeric_inverse, rho_of
 from cploss.numerics import finite_diff
 from cploss.weights import WeightFunction, catalog_weight, normalize_weight, tabulated_weight
@@ -12,6 +13,7 @@ from cploss.weights import WeightFunction, catalog_weight, normalize_weight, tab
 GRID = np.linspace(0.05, 0.95, 19)
 CLOSED_FORM_WEIGHTS = ["square", "log", "boosting", "w1-over-c", "w1-over-1mc", "minimal"]
 ALL_LINKS = ["identity", "logit", "cll", "square-link", "cosine"]
+PARAMETERLESS_WEIGHTS = CLOSED_FORM_WEIGHTS + ["zero-one"]
 
 
 class TestWeightCatalog:
@@ -80,6 +82,50 @@ class TestWeightCatalog:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             WeightFunction(w=lambda c: np.asarray(c, dtype=float) - 0.5, name="bad")
+
+
+class TestCatalogIsBuiltOnce:
+    """Catalog lookups share the instances built and checked at import."""
+
+    @pytest.fixture()
+    def counts(self, monkeypatch):
+        counts = {"integrate": 0, "build": 0}
+        integrate, post_init = weights.integrate, WeightFunction.__post_init__
+
+        def counting_integrate(*args, **kwargs):
+            counts["integrate"] += 1
+            return integrate(*args, **kwargs)
+
+        def counting_post_init(wf):
+            counts["build"] += 1
+            post_init(wf)
+
+        monkeypatch.setattr(weights, "integrate", counting_integrate)
+        monkeypatch.setattr(WeightFunction, "__post_init__", counting_post_init)
+        return counts
+
+    @pytest.mark.parametrize("name", PARAMETERLESS_WEIGHTS)
+    def test_weight_lookup_is_shared(self, name):
+        assert catalog_weight(name) is catalog_weight(name)
+
+    @pytest.mark.parametrize("name", ALL_LINKS)
+    def test_link_lookup_is_shared(self, name):
+        assert catalog_link(name) is catalog_link(name)
+
+    def test_lookups_build_and_integrate_nothing(self, counts):
+        for i in range(100):
+            catalog_weight(PARAMETERLESS_WEIGHTS[i % len(PARAMETERLESS_WEIGHTS)])
+            catalog_link(ALL_LINKS[i % len(ALL_LINKS)])
+        assert counts == {"integrate": 0, "build": 0}
+
+    def test_parametrised_weights_are_built_and_checked_per_call(self, counts):
+        a, b = (catalog_weight("cost", {"c0": 0.3}) for _ in range(2))
+        assert a is not b and a.atoms == b.atoms == ((0.3, 1.0),)
+        assert counts == {"integrate": 0, "build": 2}
+        table = {"table": [[0.1, 1.0], [0.5, 2.0], [0.9, 1.0]]}
+        c, d = (catalog_weight("custom-tabulated", table) for _ in range(2))
+        assert c is not d and counts["build"] == 4
+        assert counts["integrate"] > 0   # the construction checks of W
 
 
 class TestNormalize:
@@ -185,6 +231,14 @@ class TestCanonicalLink:
         link = canonical_link(wf)
         xs = np.linspace(0.01, 0.99, 99)
         assert np.max(np.abs(np.asarray(link.q(np.asarray(link.psi(xs)))) - xs)) <= 1e-9
+
+    def test_jump_weight_without_W(self):
+        # psi by quadrature across the jump at 0.31, and the weight is not re-checked
+        jump = WeightFunction(w=lambda c: np.where(c < 0.31, 1.0, 5.0), name="jump")
+        link = canonical_link(jump)
+        assert float(link.psi(0.8)) == pytest.approx(1.5, abs=1e-9)
+        xs = np.linspace(0.01, 0.99, 99)
+        assert np.max(np.abs(link.q(link.psi(xs)) - xs)) <= 1e-9
 
     def test_atoms_rejected(self):
         with pytest.raises(ValueError):
