@@ -281,15 +281,7 @@ def calibration_cc(ell, c: float) -> bool | None:
     if isinstance(ell, CostLoss):
         return abs(ell.c0 - c) <= 1e-12
     if isinstance(ell, ProperLoss):
-        wf = ell.weight
-        if _atom_at(wf, c):
-            return True
-        if wf.is_pure_atomic:
-            return False
-        wc = float(wf.w(c))
-        if wc > 1e-12:
-            return True
-        return False
+        return _atom_at(ell.weight, c) or float(ell.weight.w(c)) > 1e-12
     ell_pos, ell_neg = map(array_fn, ell)
     dp = finite_diff(ell_pos, c, 1)
     dn = finite_diff(ell_neg, c, 1)

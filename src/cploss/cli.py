@@ -108,7 +108,7 @@ def _build_callable(entry: dict, what: str):
     if "table" in entry:
         try:
             return _interpolant(_table(entry["table"]))
-        except (TypeError, ValueError) as err:
+        except ValueError as err:
             raise click.UsageError(f"bad {what} table: {err}")
     raise click.UsageError(f"{what} entry needs 'expr' or 'table'")
 
@@ -119,7 +119,12 @@ def _build_weight(doc: dict) -> WeightFunction:
         raise click.UsageError("loss spec needs a 'weight' object")
     try:
         if "name" in entry:
-            return catalog_weight(entry["name"], entry.get("params"))
+            name, params = entry["name"], entry.get("params")
+            if not isinstance(name, str):
+                raise click.UsageError("weight 'name' must be a string")
+            if params is not None and not isinstance(params, dict):
+                raise click.UsageError("weight 'params' must be a JSON object")
+            return catalog_weight(name, params)
         if "table" in entry:
             return tabulated_weight(entry["table"])
         if "expr" in entry:
@@ -139,6 +144,8 @@ def _build_link(doc: dict, weight: WeightFunction, override: str | None = None) 
         if not isinstance(entry, dict) or "name" not in entry:
             raise click.UsageError("link entry needs a 'name'")
         name = entry["name"]
+        if not isinstance(name, str):
+            raise click.UsageError("link 'name' must be a string")
     try:
         if name == "canonical":
             return canonical_link(weight)

@@ -172,6 +172,21 @@ def _link_from_q(q: Callable, v_range: tuple[float, float], name: str) -> Link:
     return Link(psi=psi, psi_prime=psi_prime, q=q, range=(lo, hi), name=name)
 
 
+def _gap_link(lam_pos_prime: Callable, lam_neg_prime: Callable,
+              v_range: tuple[float, float], name: str) -> Link:
+    # q(v) = lam_neg'(v) / (lam_neg'(v) - lam_pos'(v)), through _link_from_q
+    lam_pos_prime, lam_neg_prime = array_fn(lam_pos_prime), array_fn(lam_neg_prime)
+
+    def q(v):
+        dn = lam_neg_prime(v)
+        denom = dn - lam_pos_prime(v)
+        if np.any(np.abs(denom) < 1e-300):
+            raise ValueError(f"{name}: vanishing derivative gap")
+        return dn / denom
+
+    return _link_from_q(q, v_range, name)
+
+
 def reference_link(lam_pos_prime: Callable, lam_neg_prime: Callable,
                    v_range: tuple[float, float] = (-20.0, 20.0)) -> Link:
     """The unique link under which given partial losses form a proper composite.
@@ -180,23 +195,14 @@ def reference_link(lam_pos_prime: Callable, lam_neg_prime: Callable,
     built with this link attains its conditional minimum at ``v = psi(eta)``.
     Raises if the implied inverse link is non-monotone on the probe range.
     """
-    lam_pos_prime, lam_neg_prime = array_fn(lam_pos_prime), array_fn(lam_neg_prime)
-
-    def q(v):
-        dn = lam_neg_prime(v)
-        dp = lam_pos_prime(v)
-        denom = dn - dp
-        if np.any(np.abs(denom) < 1e-300):
-            raise ValueError("reference link: vanishing derivative gap")
-        return dn / denom
-
-    return _link_from_q(q, v_range, name="reference-link")
+    return _gap_link(lam_pos_prime, lam_neg_prime, v_range, "reference-link")
 
 
 def margin_to_link(m: MarginLoss,
                    v_range: tuple[float, float] = (-20.0, 20.0)) -> Link:
     """Link under which a margin loss is a proper composite.
 
+    The reference link of the partials ``phi(v)`` and ``phi(-v)``:
     ``q(v) = phi'(-v) / (phi'(-v) + phi'(v))``; the resulting inverse link
     is symmetric, ``q(-v) = 1 - q(v)``, hence ``psi(1/2) = 0``.  Margin
     losses with flat spots (vanishing derivative) are rejected because the
@@ -207,16 +213,7 @@ def margin_to_link(m: MarginLoss,
     if np.any(dvals == 0.0):
         warnings.warn(f"{m.name}: phi' vanishes on the probe range; "
                       "link may be non-unique", RuntimeWarning)
-
-    def q(v):
-        dneg = m.dphi(-v)
-        dpos = m.dphi(v)
-        denom = dneg + dpos
-        if np.any(np.abs(denom) < 1e-300):
-            raise ValueError(f"{m.name}: phi'(-v)+phi'(v) vanishes; no admissible link")
-        return dneg / denom
-
-    return _link_from_q(q, v_range, name=f"link({m.name})")
+    return _gap_link(m.dphi, lambda v: -m.dphi(-v), v_range, f"link({m.name})")
 
 
 def composite_from_margin(m: MarginLoss,

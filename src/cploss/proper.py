@@ -19,7 +19,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .numerics import IntegrationError, antiderivative, array_fn, finite_diff, integrate
+from .numerics import (IntegrationError, NumericsError, antiderivative, array_fn, finite_diff,
+                       integrate)
 from .weights import WeightFunction, catalog_weight, tabulated_weight
 
 __all__ = [
@@ -114,7 +115,12 @@ class CostLoss:
         return self.c0 * (e >= self.c0)
 
     def ell(self, y: int, etahat):
-        return self.ell_pos(etahat) if y == 1 else self.ell_neg(etahat)
+        """Loss of predicting ``etahat`` against label ``y`` in {-1, +1}."""
+        if y == 1:
+            return self.ell_pos(etahat)
+        if y == -1:
+            return self.ell_neg(etahat)
+        raise ValueError(f"label must be +1 or -1, got {y!r}")
 
     def as_proper_loss(self) -> ProperLoss:
         return cost_loss(self.c0)
@@ -294,8 +300,6 @@ def schervish_check(loss, y: int, etahat: float) -> float:
             atom_term += m * c * (etahat >= c)
         else:
             atom_term += m * (1.0 - c) * (etahat < c)
-    if wf.is_pure_atomic:
-        return atom_term
     if y == -1:
         f = lambda c: c * wf.w(c)
         a, b = 0.0, etahat
@@ -333,52 +337,39 @@ def weight_from_loss(loss, grid: Sequence[float] | None = None,
     return tabulated_weight(np.column_stack([grid, est]), name=f"weight({loss.name})")
 
 
-def _half_derivative(half: Callable, lo: float, hi: float) -> Callable:
-    # Central difference with the stencil clamped inside [lo, hi]; a point
-    # at or beyond an end of [lo, hi] takes a backward step of 1e-7.
-    def d(t):
-        h = np.minimum(1e-5, 0.45 * np.minimum(t - lo, hi - t))
-        edge = ~(h > 0)
-        h = np.where(edge, 1e-7, h)
-        upper = np.where(edge, t, t + h)
-        return (half(upper) - half(t - h)) / np.where(edge, h, 2.0 * h)
-
-    return d
-
-
-def reconstruct_symmetric(half: Callable, side: str,
-                          ell_neg_at_half: float | None = None) -> ProperLoss:
+def reconstruct_symmetric(half: Callable, side: str) -> ProperLoss:
     """Complete a symmetric proper loss from half of its negative partial.
 
-    ``half`` specifies ``ell_neg`` on [0, 1/2] (``side="lower"``) or on
-    [1/2, 1] (``side="upper"``).  The other half follows from the symmetry
-    coupling of the partial-loss derivatives,
+    ``half`` specifies ``h = ell_neg`` on [0, 1/2] (``side="lower"``) or on
+    [1/2, 1] (``side="upper"``).  Symmetry, ``ell_pos(e) = ell_neg(1-e)``,
+    couples the partial-loss derivatives as ``ell_neg'(e) = (e/(1-e))
+    h'(1-e)``; integrating that from 1/2 by parts leaves only ``h`` itself,
 
-        ell_neg(e) = ell_neg(1/2) + integral from 1/2 to e of
-                     (x / (1-x)) * ell_neg'(1-x) dx,
+        ell_neg(e) = 2 h(1/2) - (e/(1-e)) h(1-e)
+                     + integral from 1-e to 1/2 of h(u)/u^2 du,
 
-    read with the orientation convention that integrating backwards flips
-    the sign.  The positive partial is ``ell_pos(e) = ell_neg(1-e)``.  The
-    result is checked for properness (nonnegative implied weight) on a probe
-    grid.
+    one formula for either side, with no derivative of ``h`` taken.  The
+    middle term is 0 where a factor is 0, also against an infinite one at
+    ``e = 0`` or ``e = 1``: its limit there when the completion is finite.
+    The positive partial is
+    ``ell_pos(e) = ell_neg(1-e)``.  The result is checked for properness
+    (nonnegative implied weight) on a probe grid, and is fair when
+    ``ell_neg(0) = 0``.
     """
     if side not in ("lower", "upper"):
         raise ValueError("side must be 'lower' or 'upper'")
-    dom = (0.0, 0.5) if side == "lower" else (0.5, 1.0)
     half = array_fn(half)
-    anchor = float(half(0.5)) if ell_neg_at_half is None else float(ell_neg_at_half)
-    dhalf = _half_derivative(half, *dom)
-
-    def integrand(x):
-        return (x / (1.0 - x)) * dhalf(1.0 - x)
-
-    completion = antiderivative(integrand, 0.5)
+    twice_mid = 2.0 * float(half(0.5))
+    G = antiderivative(lambda u: half(u) / (u * u), 0.5)  # G(m): integral from 1/2 to m
 
     def ell_neg(e):
         given = (e <= 0.5) if side == "lower" else (e >= 0.5)
         out = np.empty(e.shape)
         out[given] = half(e[given])
-        out[~given] = anchor + completion(e[~given])
+        x = e[~given]
+        m = 1.0 - x
+        hm = half(m)
+        out[~given] = twice_mid - np.where((x == 0.0) | (hm == 0.0), 0.0, x / m * hm) - G(m)
         return out
 
     # the probes below read the partials before the loss that holds them exists
@@ -394,17 +385,15 @@ def reconstruct_symmetric(half: Callable, side: str,
     weight = tabulated_weight(np.column_stack([probe, np.maximum(w_est, 0.0)]),
                               name="reconstructed")
 
-    def _safe_zero(fn, x) -> bool:
-        try:
-            return abs(float(fn(x))) <= 1e-9
-        except Exception:
-            return False
-
+    try:
+        fair = abs(float(ell_neg(0.0))) <= 1e-9
+    except NumericsError:  # the integral up to 1 of the upper side diverges
+        fair = False
     return ProperLoss(
         ell_pos=ell_pos,
         ell_neg=ell_neg,
         weight=weight,
-        fair=_safe_zero(ell_neg, 0.0) and _safe_zero(ell_pos, 1.0),
+        fair=fair,
         strictly_proper=bool(np.all(w_est > 1e-12)),
         name=f"symmetric-reconstruction({side})",
     )

@@ -185,7 +185,7 @@ def proper_nonrobust_region(wf: WeightFunction, alpha: float,
     step = float(np.max(np.diff(xs))) if len(xs) > 1 else 1e-3
     intervals: list[tuple[float, float]] = []
 
-    if alpha > 0.0 and not wf.is_pure_atomic:
+    if alpha > 0.0:
         mask = wf.w(xs) > 1e-12
         for a, b in _positivity_runs(mask, xs):
             pull = lambda c: (c - alpha) / (1.0 - 2.0 * alpha)

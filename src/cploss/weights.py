@@ -216,6 +216,7 @@ _CATALOG: dict[str, WeightFunction] = {wf.name: wf for wf in (
             c < 0.5, 0.5 * ((1.0 - c) * np.log(2.0 * np.maximum(1.0 - c, 1e-300)) + c) - 0.25,
             0.5 * (c * np.log(2.0 * np.maximum(c, 1e-300)) - c) + 0.25),
         name="minimal",
+        knots=(0.5,),
     ),
     WeightFunction(w=np.zeros_like, atoms=((0.5, 2.0),), name="zero-one"),
 )}
@@ -224,7 +225,10 @@ _CATALOG: dict[str, WeightFunction] = {wf.name: wf for wf in (
 def _table(table: Sequence[Sequence[float]]) -> np.ndarray:
     """The rows ``(x, y)`` of a table as an n-by-2 float array, n >= 2, sorted
     by ``x``; rows with equal ``x`` keep their order."""
-    arr = np.asarray(table, dtype=float)
+    try:
+        arr = np.asarray(table, dtype=float)
+    except (TypeError, OverflowError) as err:
+        raise ValueError(f"table entries must be numbers: {err}") from None
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:
         raise ValueError("table must be a sequence of at least two (c, w) pairs")
     if not np.all(np.isfinite(arr)):
@@ -312,10 +316,12 @@ def catalog_weight(name: str, params: dict | None = None) -> WeightFunction:
         return _CATALOG[name]
     params = dict(params or {})
     if name == "cost":
-        c0 = params.get("c0")
-        if c0 is None or not 0.0 < float(c0) < 1.0:
+        try:
+            c0 = float(params.get("c0"))
+        except (TypeError, ValueError, OverflowError):
+            c0 = math.nan
+        if not 0.0 < c0 < 1.0:
             raise ValueError("cost weight requires parameter c0 in (0,1)")
-        c0 = float(c0)
         return WeightFunction(w=np.zeros_like, atoms=((c0, 1.0),), name=f"cost({c0})")
     if name == "custom-tabulated":
         if "table" not in params:

@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cploss
 from cploss.cli import main
@@ -376,6 +378,39 @@ def test_non_string_expression_is_a_usage_error(runner):
                                   "--y", "1", "--etahat", "0.3"])
     assert result.exit_code == 2, result.output
     assert "must be a string" in result.output
+
+
+@pytest.mark.parametrize("spec, field", [
+    ('{"weight":{"name":["log"]}}', "weight 'name'"),
+    ('{"weight":{"name":"cost","params":5}}', "weight 'params'"),
+    ('{"weight":{"name":"cost","params":{"c0":[1]}}}', "c0"),
+    ('{"weight":{"name":"log"},"link":{"name":["logit"]}}', "link 'name'"),
+])
+def test_malformed_spec_fields_are_usage_errors(runner, spec, field):
+    result = runner.invoke(main, ["eval", "--loss", spec, "--y", "1", "--etahat", "0.3"])
+    assert result.exit_code == 2, result.output
+    assert field in result.output
+
+
+# JSON values that reach every branch of a weight or link entry: the keys and
+# names it reads, among arbitrary ones
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+                | st.sampled_from(["log", "cost", "custom-tabulated", "logit", "canonical"]))
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["name", "params", "c0", "table", "expr"]) | st.text(max_size=6),
+        inner, max_size=4),
+    max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(weight=_JSON_VALUES, link=_JSON_VALUES)
+def test_arbitrary_weight_and_link_entries_end_in_a_documented_exit(weight, link):
+    spec = json.dumps({"weight": weight, "link": link})
+    result = CliRunner().invoke(main, ["eval", "--loss", spec, "--y", "1", "--etahat", "0.3"])
+    assert result.exit_code in (0, 2, 3), (spec, result.output, result.exception)
+    assert result.exception is None or isinstance(result.exception, SystemExit), spec
 
 
 def test_weight_near_the_float_maximum_is_rejected_without_a_warning():

@@ -178,6 +178,17 @@ class TestReferenceAndMarginLinks:
         vs = np.linspace(-8, 8, 81)
         assert np.max(np.abs(np.asarray(ref.q(vs)) - np.asarray(margin.q(vs)))) <= 1e-10
 
+    @pytest.mark.parametrize("m", [exponential_margin(), logistic_margin(), zhang_margin(2.0)],
+                             ids=lambda m: m.name)
+    def test_margin_link_is_bitwise_the_reference_link(self, m):
+        margin = margin_to_link(m)
+        ref = reference_link(lam_pos_prime=m.dphi, lam_neg_prime=lambda v: -m.dphi(-v))
+        vs = np.linspace(-19.5, 19.5, 161)
+        xs = np.linspace(0.001, 0.999, 161)
+        assert margin.q(vs).tobytes() == ref.q(vs).tobytes()
+        assert margin.psi(xs).tobytes() == ref.psi(xs).tobytes()
+        assert margin.name == f"link({m.name})"
+
     def test_reference_link_identity_round_trip(self):
         # square partials with the identity link recover the identity
         ref = reference_link(lam_pos_prime=lambda v: np.asarray(v, dtype=float) - 1.0,

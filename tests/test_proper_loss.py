@@ -81,6 +81,12 @@ class TestFromWeight:
         with pytest.raises(ValueError):
             CostLoss(0.0)
 
+    @pytest.mark.parametrize("y", [0, 2, "1", None])
+    def test_cost_dataclass_rejects_other_labels(self, y):
+        from cploss.proper import CostLoss
+        with pytest.raises(ValueError):
+            CostLoss(0.3).ell(y, 0.5)
+
     def test_non_definite_weight_rejected(self):
         # w = 1/((1-c)^2 c): the positive partial integral diverges everywhere
         wf = type(catalog_weight("log"))(
@@ -256,6 +262,14 @@ class TestRepresentations:
             val = schervish_check(host, 1, 0.5)
         assert np.isfinite(val) and val > 1.0
 
+    def test_schervish_minimal_splits_at_its_kink(self):
+        # the minimal weight declares its kink at 1/2, where the mixture splits
+        loss = catalog_loss("minimal")
+        for e in np.linspace(0.02, 0.98, 97):
+            for y, partial in ((1, loss.ell_pos), (-1, loss.ell_neg)):
+                want = float(partial(e))
+                assert abs(schervish_check(loss, y, e) - want) <= 1e-11 * abs(want), (y, e)
+
     @pytest.mark.parametrize("name", ["square", "log", "boosting"])
     def test_schervish_reproduces_partials(self, name):
         loss = catalog_loss(name)
@@ -353,6 +367,46 @@ class TestSymmetricReconstruction:
         got = np.asarray(loss.ell_neg(es), dtype=float)
         want = np.asarray(full.ell_neg(es), dtype=float)
         assert np.max(np.abs(got - want)) <= 1e-6, name
+
+    @pytest.mark.parametrize("half, side, closed, es", [
+        pytest.param(lambda e: 1.0 / (1.0 - e), "lower",
+                     lambda e: 2.0 + np.log(e / (1 - e)), np.linspace(0.51, 0.99, 50), id="first"),
+        pytest.param(lambda e: 1.0 / (1.0 - e), "upper",
+                     lambda e: 2.0 + np.log(e / (1 - e)), np.linspace(0.02, 0.49, 50), id="second"),
+        pytest.param(lambda e: e, "lower",
+                     lambda e: 1.0 - math.log(2.0) - e - np.log(1 - e), np.linspace(0.51, 0.99, 50),
+                     id="fourth"),
+        pytest.param(lambda e: 1.0 / (1.0 - e) ** 2, "lower",
+                     lambda e: 8.0 - 2.0 / e + 2.0 * np.log(e / (1 - e)), np.linspace(0.51, 0.95, 50),
+                     id="third"),
+    ])
+    def test_worked_examples_are_exact(self, half, side, closed, es):
+        # the completion integrates h(u)/u^2 and takes no derivative of h
+        loss = reconstruct_symmetric(half, side)
+        assert np.max(np.abs(loss.ell_neg(es) - closed(es))) <= 1e-11
+
+    @pytest.mark.parametrize("name", ["square", "log", "boosting"])
+    def test_round_trip_is_exact(self, name):
+        full = catalog_loss(name)
+        loss = reconstruct_symmetric(full.ell_neg, "lower")
+        es = np.linspace(0.5, 0.99, 50)
+        assert np.max(np.abs(loss.ell_neg(es) - full.ell_neg(es))) <= 1e-11, name
+
+    @pytest.mark.parametrize("name", ["square", "log", "boosting"])
+    def test_upper_half_of_a_fair_loss_completes_fair(self, name):
+        # ell_neg(0) lies on the completed side; the middle term takes its limit 0
+        full = catalog_loss(name)
+        loss = reconstruct_symmetric(full.ell_neg, "upper")
+        assert loss.fair
+        es = np.linspace(0.01, 0.5, 50)
+        assert np.max(np.abs(loss.ell_neg(es) - full.ell_neg(es))) <= 1e-11, name
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_square_completion_reaches_both_ends(self, side):
+        # the middle term's 0 * inf at e = 0 or e = 1 is its limit 0
+        loss = reconstruct_symmetric(catalog_loss("square").ell_neg, side)
+        assert np.max(np.abs(loss.ell_neg(np.array([0.0, 1.0])) - [0.0, 0.5])) <= 1e-11
+        assert np.max(np.abs(loss.ell_pos(np.array([0.0, 1.0])) - [0.5, 0.0])) <= 1e-11
 
     def test_positive_partial_by_mirror(self):
         loss = reconstruct_symmetric(lambda e: np.asarray(e, dtype=float), "lower")
