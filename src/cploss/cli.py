@@ -8,14 +8,18 @@ Loss specifications are JSON documents, inline or in a file:
 Weight names follow the catalog; ``{"name": "canonical"}`` as a link means
 the canonical link of the chosen weight.  All JSON reports carry
 ``"schema": "cploss/1"`` and print floats in Python's shortest round-trip
-form (documented in the README).  Exit codes: 0 success, 1 failed
-certification under ``--strict``, 2 usage error (non-finite numbers
-included), 3 numeric failure (a non-finite result included).
+form (documented in the README).
+
+Exit codes: 0 success, 1 failed certification under ``--strict``, 2 usage
+error (a non-finite option included), 3 numeric failure (a non-finite
+result included).  :class:`_Command` maps library errors to them in one
+place: a ``NumericsError`` exits 3 with ``numeric failure: <message>`` on
+stderr, any other ``ValueError`` is a usage error.  ``reconstruct-symmetric``
+and ``margin-link`` report a rejected completion or margin as exit 3.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -52,29 +56,23 @@ FINITE = _FiniteFloat()
 _GRID_SIZE = click.IntRange(min=3)
 
 
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    return obj
+def _plain(obj):
+    """The ``json.dumps`` hook: numpy scalars and arrays as Python values."""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _emit_json(payload: dict) -> None:
     """Print one strict-JSON report; a non-finite value is a numeric failure (exit 3)."""
-    doc = {"schema": SCHEMA}
-    doc.update(_jsonify(payload))
+    doc = {"schema": SCHEMA, **payload}
     for key, value in doc.items():
         try:
-            json.dumps(value, allow_nan=False)
+            json.dumps(value, allow_nan=False, default=_plain)
         except ValueError:
             click.echo(f"numeric failure: non-finite value for {key!r}", err=True)
             sys.exit(3)
-    click.echo(json.dumps(doc, allow_nan=False))
+    click.echo(json.dumps(doc, allow_nan=False, default=_plain))
 
 
 def _write_csv(path: str, header: list, *columns) -> None:
@@ -117,21 +115,17 @@ def _build_weight(doc: dict) -> WeightFunction:
     entry = doc.get("weight")
     if not isinstance(entry, dict):
         raise click.UsageError("loss spec needs a 'weight' object")
-    try:
-        if "name" in entry:
-            name, params = entry["name"], entry.get("params")
-            if not isinstance(name, str):
-                raise click.UsageError("weight 'name' must be a string")
-            if params is not None and not isinstance(params, dict):
-                raise click.UsageError("weight 'params' must be a JSON object")
-            return catalog_weight(name, params)
-        if "table" in entry:
-            return tabulated_weight(entry["table"])
-        if "expr" in entry:
-            return WeightFunction(w=_build_callable(entry, "weight"),
-                                  name=f"expr({entry['expr']})")
-    except (ValueError, ExpressionError) as err:
-        raise click.UsageError(str(err))
+    if "name" in entry:
+        name, params = entry["name"], entry.get("params")
+        if not isinstance(name, str):
+            raise click.UsageError("weight 'name' must be a string")
+        if params is not None and not isinstance(params, dict):
+            raise click.UsageError("weight 'params' must be a JSON object")
+        return catalog_weight(name, params)
+    if "table" in entry:
+        return tabulated_weight(entry["table"])
+    if "expr" in entry:
+        return WeightFunction(w=_build_callable(entry, "weight"), name=f"expr({entry['expr']})")
     raise click.UsageError("weight entry needs 'name', 'table' or 'expr'")
 
 
@@ -146,12 +140,7 @@ def _build_link(doc: dict, weight: WeightFunction, override: str | None = None) 
         name = entry["name"]
         if not isinstance(name, str):
             raise click.UsageError("link 'name' must be a string")
-    try:
-        if name == "canonical":
-            return canonical_link(weight)
-        return catalog_link(name)
-    except ValueError as err:
-        raise click.UsageError(str(err))
+    return canonical_link(weight) if name == "canonical" else catalog_link(name)
 
 
 def _parse_loss(spec: str, link_override: str | None = None):
@@ -165,19 +154,24 @@ def _parse_loss(spec: str, link_override: str | None = None):
     return loss, link
 
 
-def numeric_guard(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+class _Command(click.Command):
+    """A subcommand whose library errors end in the documented exit codes."""
+
+    def invoke(self, ctx: click.Context):
         try:
-            return fn(*args, **kwargs)
+            return super().invoke(ctx)
         except NumericsError as err:
             click.echo(f"numeric failure: {err}", err=True)
             sys.exit(3)
+        except ValueError as err:
+            raise click.UsageError(str(err), ctx) from err
 
-    return wrapper
+
+class _Group(click.Group):
+    command_class = _Command
 
 
-@click.group()
+@click.group(cls=_Group)
 def main() -> None:
     """Construct, evaluate and certify composite binary losses."""
 
@@ -197,7 +191,6 @@ def catalog() -> None:
 @click.option("--etahat", type=FINITE, default=None, help="probability-scale prediction")
 @click.option("--link", "link_name", default=None, help="override the spec's link")
 @click.option("--v", "score", type=FINITE, default=None, help="score-scale prediction")
-@numeric_guard
 def eval_cmd(spec: str, label: str, etahat: float | None,
              link_name: str | None, score: float | None) -> None:
     """Evaluate a partial loss at a probability or a score."""
@@ -225,24 +218,19 @@ def eval_cmd(spec: str, label: str, etahat: float | None,
 @click.option("--etahat", type=FINITE, default=None)
 @click.option("--bayes", "want_bayes", is_flag=True, help="conditional Bayes risk at eta")
 @click.option("--regret", "want_regret", is_flag=True, help="regret instead of risk")
-@numeric_guard
 def risk(spec: str, eta: float, etahat: float | None,
          want_bayes: bool, want_regret: bool) -> None:
     """Conditional risk, Bayes risk, or regret of a loss."""
     loss, _ = _parse_loss(spec)
-    try:
-        if want_bayes:
-            _emit_json({"eta": eta, "bayes_risk": bayes_risk(loss, eta)})
-            return
-        if etahat is None:
-            raise click.UsageError("provide --etahat (or use --bayes)")
-        if want_regret:
-            _emit_json({"eta": eta, "etahat": etahat, "regret": regret(loss, eta, etahat)})
-        else:
-            _emit_json({"eta": eta, "etahat": etahat,
-                        "risk": conditional_risk(loss, eta, etahat)})
-    except ValueError as err:
-        raise click.UsageError(str(err))
+    if want_bayes:
+        _emit_json({"eta": eta, "bayes_risk": bayes_risk(loss, eta)})
+        return
+    if etahat is None:
+        raise click.UsageError("provide --etahat (or use --bayes)")
+    if want_regret:
+        _emit_json({"eta": eta, "etahat": etahat, "regret": regret(loss, eta, etahat)})
+    else:
+        _emit_json({"eta": eta, "etahat": etahat, "risk": conditional_risk(loss, eta, etahat)})
 
 
 @main.command("check-proper")
@@ -250,7 +238,6 @@ def risk(spec: str, eta: float, etahat: float | None,
               help="JSON with 'ell_pos' and 'ell_neg' entries (expr or table)")
 @click.option("--grid-size", type=_GRID_SIZE, default=99, show_default=True)
 @click.option("--strict", is_flag=True, help="exit 1 when the pair is not proper")
-@numeric_guard
 def check_proper_cmd(partials_file: str, grid_size: int, strict: bool) -> None:
     """Test a pair of partial losses for properness (slope-ratio condition)."""
     doc = _load_document(partials_file)
@@ -259,10 +246,7 @@ def check_proper_cmd(partials_file: str, grid_size: int, strict: bool) -> None:
     ell_pos = _build_callable(doc["ell_pos"], "ell_pos")
     ell_neg = _build_callable(doc["ell_neg"], "ell_neg")
     grid = np.linspace(0.05, 0.95, grid_size)
-    try:
-        proper, weight, resid = analysis.check_proper(ell_pos, ell_neg, grid)
-    except ValueError as err:
-        raise click.UsageError(str(err))
+    proper, weight, resid = analysis.check_proper(ell_pos, ell_neg, grid)
     xs = np.linspace(0.1, 0.9, 9)
     _emit_json({
         "proper": proper,
@@ -280,7 +264,6 @@ def check_proper_cmd(partials_file: str, grid_size: int, strict: bool) -> None:
 @click.option("--grid-size", type=_GRID_SIZE, default=999, show_default=True)
 @click.option("--tol", type=FINITE, default=None, help="certification tolerance")
 @click.option("--strict", is_flag=True, help="exit 1 when not convex")
-@numeric_guard
 def check_convexity(spec: str, use_oracle: bool, grid_size: int,
                     tol: float | None, strict: bool) -> None:
     """Certify convexity of a composite loss on a grid."""
@@ -289,16 +272,12 @@ def check_convexity(spec: str, use_oracle: bool, grid_size: int,
     loss, link = _parse_loss(spec)
     link = link or catalog_link("identity")
     grid = analysis.certification_grid(grid_size)
-    try:
-        if use_oracle:
-            cl = composite.make_composite(loss, link)
-            report = analysis.convexity_oracle(cl, link.psi(grid),
-                                               **({"tol": tol} if tol else {}))
-        else:
-            report = analysis.convexity_characterization(loss.weight, link, grid,
-                                                         **({"tol": tol} if tol else {}))
-    except analysis.StrictnessError as err:
-        raise click.UsageError(str(err))
+    if use_oracle:
+        cl = composite.make_composite(loss, link)
+        report = analysis.convexity_oracle(cl, link.psi(grid), **({"tol": tol} if tol else {}))
+    else:
+        report = analysis.convexity_characterization(loss.weight, link, grid,
+                                                     **({"tol": tol} if tol else {}))
     payload = report.to_json_dict()
     payload["weight"] = loss.weight.name
     payload["link"] = link.name
@@ -311,13 +290,9 @@ def check_convexity(spec: str, use_oracle: bool, grid_size: int,
 @click.option("--link", "link_name", required=True)
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 @click.option("--grid-size", type=_GRID_SIZE, default=999, show_default=True)
-@numeric_guard
 def region(link_name: str, out_path: str, grid_size: int) -> None:
     """Export the convexity-compatible weight envelopes as x,lower,upper CSV."""
-    try:
-        link = catalog_link(link_name)
-    except ValueError as err:
-        raise click.UsageError(str(err))
+    link = catalog_link(link_name)
     curve = analysis.allowable_region(link, analysis.certification_grid(grid_size))
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         curve.to_csv(fh)
@@ -328,7 +303,6 @@ def region(link_name: str, out_path: str, grid_size: int) -> None:
 @click.option("--loss", "spec", required=True)
 @click.option("--c", "threshold", type=FINITE, required=True)
 @click.option("--strict", is_flag=True, help="exit 1 when not calibrated")
-@numeric_guard
 def check_calibration(spec: str, threshold: float, strict: bool) -> None:
     """Classification calibration of a loss at a cost threshold."""
     if not 0.0 < threshold < 1.0:
@@ -348,7 +322,6 @@ def check_calibration(spec: str, threshold: float, strict: bool) -> None:
 @click.option("--grid-size", type=_GRID_SIZE, default=99, show_default=True)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
               help="write the completed partial as x,ell_neg CSV")
-@numeric_guard
 def reconstruct_symmetric_cmd(half_file: str, side: str, grid_size: int,
                               out_path: str | None) -> None:
     """Complete a symmetric loss from half of its negative partial."""
@@ -393,7 +366,6 @@ def _parse_margin(name_spec: str) -> composite.MarginLoss:
 @click.option("--grid-size", type=_GRID_SIZE, default=99, show_default=True)
 @click.option("--v-max", type=FINITE, default=8.0, show_default=True)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
-@numeric_guard
 def margin_link(phi_spec: str, grid_size: int, v_max: float, out_path: str | None) -> None:
     """The unique link turning a margin loss into a proper composite (v,q CSV)."""
     m = _parse_margin(phi_spec)
@@ -415,24 +387,19 @@ def margin_link(phi_spec: str, grid_size: int, v_max: float, out_path: str | Non
 @click.option("--c0", type=FINITE, default=None, help="cost-loss threshold")
 @click.option("--weight", "weight_spec", default=None, help="weight spec (JSON)")
 @click.option("--alpha", type=FINITE, required=True, help="label-flip rate in [0, 1/2)")
-@numeric_guard
 def robustness_cmd(c0: float | None, weight_spec: str | None, alpha: float) -> None:
     """Label-noise non-robustness: a cost-loss interval or a weight's union."""
     if (c0 is None) == (weight_spec is None):
         raise click.UsageError("provide exactly one of --c0 or --weight")
-    try:
-        if c0 is not None:
-            _emit_json(robustness.cost_robust_interval(c0, alpha).to_json_dict())
-        else:
-            doc = _load_document(weight_spec)
-            wf = _build_weight(doc if "weight" in doc else {"weight": doc})
-            _emit_json(robustness.nonrobust_region_report(wf, alpha))
-    except ValueError as err:
-        raise click.UsageError(str(err))
+    if c0 is not None:
+        _emit_json(robustness.cost_robust_interval(c0, alpha).to_json_dict())
+    else:
+        doc = _load_document(weight_spec)
+        wf = _build_weight(doc if "weight" in doc else {"weight": doc})
+        _emit_json(robustness.nonrobust_region_report(wf, alpha))
 
 
 @main.command("surrogate-experiment")
-@numeric_guard
 def surrogate_experiment_cmd() -> None:
     """Run the two-surrogate/two-experiment study and report deviations."""
     _emit_json(experiments.run_surrogate_experiment())
@@ -443,7 +410,6 @@ def surrogate_experiment_cmd() -> None:
 @click.option("--curve", is_flag=True, help="emit the whole bound curve as CSV")
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
 @click.option("--grid-size", type=int, default=999, show_default=True)
-@numeric_guard
 def regret_bound(x_value: float | None, curve: bool, out_path: str | None,
                  grid_size: int) -> None:
     """Threshold-1/2 regret bound implied by a minimal-loss regret."""

@@ -181,8 +181,11 @@ def integrate(f: Callable, a: float, b: float,
     has been split twice, ``f`` is evaluated at both ends, once; at an end
     where it is not finite, the end panel takes :func:`_geometric_tail` of its
     annulus sums, with the change from the previous estimate of the same
-    interval as its error.  An end where ``f`` is finite gets plain
-    bisection, also when a singularity lies just beyond it.
+    interval as its error.  The annulus and tail of a split estimate the end
+    panel it split; one larger than the previous split's at that end, which
+    covered a larger interval, raises: the ratio then tends to 1 from below,
+    as at a logarithmically divergent end.  An end where ``f`` is finite gets
+    plain bisection, also when a singularity lies just beyond it.
 
     Raises
     ------
@@ -191,9 +194,9 @@ def integrate(f: Callable, a: float, b: float,
         are invalid.
     IntegrationError
         If the panel to split is ``spec.max_depth`` bisections deep or too
-        narrow to split in floating point, or a panel's estimate or error
-        overflows on finite values; the exception carries the partial
-        estimate.
+        narrow to split in floating point, an end tail grows, or a panel's
+        estimate or error overflows on finite values; the exception carries
+        the partial estimate.
     """
     a, b = float(a), float(b)
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -209,6 +212,7 @@ def integrate(f: Callable, a: float, b: float,
     lo, hi = a, b
     singular = None          # whether f is not finite at a and at b, once asked
     annulus = [None, None]   # the last halving-annulus sum next to a and to b
+    spans = [None, None]     # the last split's estimate of the end panel it split
     while True:
         if not (math.isfinite(total_est) and math.isfinite(total_err)):
             raise IntegrationError(  # a Kronrod sum overflowed on finite values
@@ -232,7 +236,12 @@ def integrate(f: Callable, a: float, b: float,
                         singular = ~np.isfinite(np.asarray(f(np.array([a, b])), dtype=float))
                 tail = _geometric_tail(annulus[side], s) if singular[side] else None
                 if tail is not None:
+                    if spans[side] is not None and abs(s + tail) > abs(spans[side]):
+                        raise IntegrationError(  # the ratio tends to 1: a log-divergent end
+                            f"end tail at {(a, b)[side]!r} grows from {spans[side]!r} to "
+                            f"{s + tail!r}", estimate=total_est)
                     halves[side] = (tail, abs(s + tail - est))
+                spans[side] = None if tail is None else s + tail
             annulus[side] = s
         (left, lerr), (right, rerr) = halves
         total_est += left + right - est

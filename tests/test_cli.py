@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import cploss
 from cploss.cli import main
+from cploss.numerics import NumericsError
 
 
 @pytest.fixture()
@@ -470,3 +471,46 @@ def test_grid_size_below_three_is_a_usage_error(runner, tmp_path, monkeypatch, c
 
 def test_unknown_command_is_usage_error(runner):
     assert runner.invoke(main, ["frobnicate"]).exit_code == 2
+
+
+# one library call that each subcommand makes, and arguments that reach it
+_LIBRARY_CALLS = {
+    "catalog": ("cploss.cli._emit_json", []),
+    "eval": ("cploss.composite.make_composite", ["--loss", LOG_LOGIT, "--y", "1", "--v", "0.5"]),
+    "risk": ("cploss.cli.conditional_risk", ["--loss", SQUARE, "--eta", "0.3", "--etahat", "0.4"]),
+    "check-proper": ("cploss.analysis.check_proper", _GRID_COMMANDS["check-proper"]),
+    "check-convexity": ("cploss.analysis.convexity_characterization",
+                        _GRID_COMMANDS["check-convexity"]),
+    "region": ("cploss.analysis.allowable_region", _GRID_COMMANDS["region"]),
+    "check-calibration": ("cploss.analysis.calibration_cc", ["--loss", LOG, "--c", "0.3"]),
+    "reconstruct-symmetric": ("cploss.cli.reconstruct_symmetric",
+                              _GRID_COMMANDS["reconstruct-symmetric"]),
+    "margin-link": ("cploss.composite.margin_to_link", _GRID_COMMANDS["margin-link"]),
+    "robustness": ("cploss.robustness.cost_robust_interval", ["--c0", "0.3", "--alpha", "0.1"]),
+    "surrogate-experiment": ("cploss.experiments.run_surrogate_experiment", []),
+    "regret-bound": ("cploss.experiments.regret_bound_invert", ["--x", "0.5"]),
+}
+# these report a completion or margin loss that the library rejects as a numeric failure
+_REJECTION_IS_NUMERIC = {"reconstruct-symmetric": "reconstruction failed: boom\n",
+                         "margin-link": "no admissible link: boom\n"}
+
+
+@pytest.mark.parametrize("error", [ValueError, NumericsError])
+@pytest.mark.parametrize("command", sorted(main.commands))
+def test_library_errors_end_in_their_exit_code(runner, tmp_path, monkeypatch, command, error):
+    target, args = _LIBRARY_CALLS[command]
+
+    def boom(*_args, **_kwargs):
+        raise error("boom")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(target, boom)
+    result = runner.invoke(main, [command, *args])
+    if error is NumericsError:
+        assert (result.exit_code, result.output) == (3, "numeric failure: boom\n")
+    elif command in _REJECTION_IS_NUMERIC:
+        assert (result.exit_code, result.output) == (3, _REJECTION_IS_NUMERIC[command])
+    else:
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith(f"Usage: main {command} [OPTIONS]")
+        assert result.output.endswith("\nError: boom\n")

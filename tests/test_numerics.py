@@ -130,6 +130,13 @@ class TestEndpoints:
         with pytest.raises(IntegrationError):
             integrate(f, 0.0, 1.0)
 
+    def test_logarithmically_divergent_end_raises(self):
+        # -log(1-u)/u^2 = 1/u + 1/2 + ...: the annulus sums fall towards log 2, so
+        # their ratio tends to 1 from below and each split estimates its end
+        # panel larger than the split before it estimated a larger one
+        with pytest.raises(IntegrationError, match="grows"):
+            integrate(lambda u: -np.log1p(-u) / u ** 2, 0.0, 0.5)
+
     def test_singularity_just_beyond_an_end_near_one_raises(self):
         # nodes within 1e-12 of 1 are rounded to 1e-4 of their distance from
         # 1, so no panel rule there can meet the tolerance: no value comes back
