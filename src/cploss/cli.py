@@ -15,7 +15,8 @@ error (a non-finite option included), 3 numeric failure (a non-finite
 result included).  :class:`_Command` maps library errors to them in one
 place: a ``NumericsError`` exits 3 with ``numeric failure: <message>`` on
 stderr, any other ``ValueError`` is a usage error.  ``reconstruct-symmetric``
-and ``margin-link`` report a rejected completion or margin as exit 3.
+and ``margin-link`` report a completion or link whose construction the library
+rejects as exit 3.
 """
 
 from __future__ import annotations

@@ -181,11 +181,10 @@ def integrate(f: Callable, a: float, b: float,
     has been split twice, ``f`` is evaluated at both ends, once; at an end
     where it is not finite, the end panel takes :func:`_geometric_tail` of its
     annulus sums, with the change from the previous estimate of the same
-    interval as its error.  The annulus and tail of a split estimate the end
-    panel it split; one larger than the previous split's at that end, which
-    covered a larger interval, raises: the ratio then tends to 1 from below,
-    as at a logarithmically divergent end.  An end where ``f`` is finite gets
-    plain bisection, also when a singularity lies just beyond it.
+    interval as its error, unless that estimate is larger than the previous
+    split's of the larger panel, as at a logarithmically divergent end.  An
+    end where ``f`` is finite, or whose tail is refused, gets plain
+    bisection, also when a singularity lies just beyond it.
 
     Raises
     ------
@@ -194,9 +193,9 @@ def integrate(f: Callable, a: float, b: float,
         are invalid.
     IntegrationError
         If the panel to split is ``spec.max_depth`` bisections deep or too
-        narrow to split in floating point, an end tail grows, or a panel's
-        estimate or error overflows on finite values; the exception carries
-        the partial estimate.
+        narrow to split in floating point, or a panel's estimate or error
+        overflows on finite values; the exception carries the partial
+        estimate.
     """
     a, b = float(a), float(b)
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -235,13 +234,9 @@ def integrate(f: Callable, a: float, b: float,
                     with np.errstate(all="ignore"):
                         singular = ~np.isfinite(np.asarray(f(np.array([a, b])), dtype=float))
                 tail = _geometric_tail(annulus[side], s) if singular[side] else None
-                if tail is not None:
-                    if spans[side] is not None and abs(s + tail) > abs(spans[side]):
-                        raise IntegrationError(  # the ratio tends to 1: a log-divergent end
-                            f"end tail at {(a, b)[side]!r} grows from {spans[side]!r} to "
-                            f"{s + tail!r}", estimate=total_est)
+                prev, spans[side] = spans[side], None if tail is None else s + tail
+                if tail is not None and (prev is None or abs(s + tail) <= abs(prev)):
                     halves[side] = (tail, abs(s + tail - est))
-                spans[side] = None if tail is None else s + tail
             annulus[side] = s
         (left, lerr), (right, rerr) = halves
         total_est += left + right - est

@@ -1,6 +1,7 @@
 """CLI surface: every subcommand, output schemas, determinism, exit codes."""
 
 import csv
+import importlib
 import json
 import math
 import os
@@ -513,4 +514,33 @@ def test_library_errors_end_in_their_exit_code(runner, tmp_path, monkeypatch, co
     else:
         assert result.exit_code == 2, result.output
         assert result.output.startswith(f"Usage: main {command} [OPTIONS]")
+        assert result.output.endswith("\nError: boom\n")
+
+
+@pytest.mark.parametrize("error", [ValueError, NumericsError])
+@pytest.mark.parametrize("command,field", [("reconstruct-symmetric", "ell_neg"),
+                                           ("margin-link", "q")])
+def test_errors_evaluating_a_completion_or_link_are_not_rejections(
+        runner, tmp_path, monkeypatch, command, field, error):
+    # only a rejected construction exits 3 with its own prefix; evaluating what
+    # was built maps through the subcommand class like any other library call
+    target, args = _LIBRARY_CALLS[command]
+    module, name = target.rsplit(".", 1)
+    build = getattr(importlib.import_module(module), name)
+
+    def boom(*_args, **_kwargs):
+        raise error("boom")
+
+    def build_then_break(*args, **kwargs):
+        built = build(*args, **kwargs)
+        object.__setattr__(built, field, boom)   # after the library's own checks
+        return built
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(target, build_then_break)
+    result = runner.invoke(main, [command, *args])
+    if error is NumericsError:
+        assert (result.exit_code, result.output) == (3, "numeric failure: boom\n")
+    else:
+        assert result.exit_code == 2, result.output
         assert result.output.endswith("\nError: boom\n")

@@ -133,9 +133,24 @@ class TestEndpoints:
     def test_logarithmically_divergent_end_raises(self):
         # -log(1-u)/u^2 = 1/u + 1/2 + ...: the annulus sums fall towards log 2, so
         # their ratio tends to 1 from below and each split estimates its end
-        # panel larger than the split before it estimated a larger one
-        with pytest.raises(IntegrationError, match="grows"):
+        # panel larger than the split before it estimated a larger one; the
+        # end then takes no tail and is bisected until it cannot be split
+        with pytest.raises(IntegrationError, match="did not converge"):
             integrate(lambda u: -np.log1p(-u) / u ** 2, 0.0, 0.5)
+
+    def test_power_end_under_a_smooth_part_takes_its_tail_once_it_settles(self):
+        # the annulus ratio climbs from 0.65 towards 2^-0.1, so the first
+        # splits estimate their end panels larger than the split before
+        assert _within(integrate(lambda x: x ** -0.9 + 2.5, 0.0, 1.0), 12.5) <= 10
+
+    def test_lower_partial_of_a_beta_weight_with_negative_exponents(self):
+        # the integrand of from_weight's ell_neg for w = c^-1.9 (1-c)^-1.9 is
+        # c^-0.9 (1 + 1.9 c + ...) at 0; its integral is an incomplete beta
+        # function B(x; 0.1, -0.9), here through the hypergeometric series
+        ell_neg = antiderivative(lambda c: c * c ** -1.9 * (1 - c) ** -1.9, 0.0)
+        for x in (0.01, 0.1, 0.3, 0.5, 0.9, 0.99):
+            want = x ** 0.1 / 0.1 * scipy.special.hyp2f1(0.1, 1.9, 1.1, x)
+            assert _within(float(ell_neg(x)), want) <= 10
 
     def test_singularity_just_beyond_an_end_near_one_raises(self):
         # nodes within 1e-12 of 1 are rounded to 1e-4 of their distance from
