@@ -24,7 +24,6 @@ from .numerics import (
 from .weights import WeightFunction, catalog_weight, normalize_weight, tabulated_weight
 from .links import Link, canonical_link, catalog_link, numeric_inverse, rho_of
 from .proper import (
-    CostLoss,
     ImpropernessError,
     ProperLoss,
     bayes_risk,

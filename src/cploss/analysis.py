@@ -23,7 +23,7 @@ import numpy as np
 from .composite import CompositeLoss
 from .links import Link
 from .numerics import array_fn, finite_diff
-from .proper import CostLoss, ProperLoss
+from .proper import ProperLoss
 from .weights import WeightFunction, normalize_weight, tabulated_weight
 
 __all__ = [
@@ -266,10 +266,10 @@ def _atom_at(wf: WeightFunction, c: float, tol: float = 1e-12) -> bool:
 def calibration_cc(ell, c: float) -> bool | None:
     """Classification calibration at threshold ``c``.
 
-    Accepts a :class:`ProperLoss`, a :class:`CostLoss`, or a pair of partial
-    losses ``(ell_pos, ell_neg)``.  For proper losses calibration at ``c``
-    is equivalent to the weight not vanishing there (atoms count); for raw
-    partials the slope conditions are tested directly:
+    Accepts a :class:`ProperLoss` or a pair of partial losses ``(ell_pos,
+    ell_neg)``.  For proper losses calibration at ``c`` is equivalent to the
+    weight not vanishing there (atoms count); for raw partials the slope
+    conditions are tested directly:
     ``ell_neg'(c) > 0``, ``ell_pos'(c) < 0`` and the stationarity identity
     ``c ell_pos'(c) + (1-c) ell_neg'(c) = 0`` within 1e-8 after normalising
     by ``|ell_neg'(c)|``.  Returns None ("indeterminate") when a derivative
@@ -278,8 +278,6 @@ def calibration_cc(ell, c: float) -> bool | None:
     c = float(c)
     if not 0.0 < c < 1.0:
         raise ValueError("c must lie in (0,1)")
-    if isinstance(ell, CostLoss):
-        return abs(ell.c0 - c) <= 1e-12
     if isinstance(ell, ProperLoss):
         return _atom_at(ell.weight, c) or float(ell.weight.w(c)) > 1e-12
     ell_pos, ell_neg = map(array_fn, ell)

@@ -410,15 +410,13 @@ def surrogate_experiment_cmd() -> None:
 @click.option("--x", "x_value", type=FINITE, default=None, help="minimal-loss regret")
 @click.option("--curve", is_flag=True, help="emit the whole bound curve as CSV")
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
-@click.option("--grid-size", type=int, default=999, show_default=True)
+@click.option("--grid-size", type=_GRID_SIZE, default=999, show_default=True)
 def regret_bound(x_value: float | None, curve: bool, out_path: str | None,
                  grid_size: int) -> None:
     """Threshold-1/2 regret bound implied by a minimal-loss regret."""
     if curve:
         if out_path is None:
             raise click.UsageError("--curve needs --out FILE.csv")
-        if grid_size < 3:
-            raise click.UsageError("grid size must be at least 3")
         xs = np.linspace(0.0, 1.0, grid_size)
         _write_csv(out_path, ["x", "bound"], xs,
                    [experiments.regret_bound_invert(float(x)) for x in xs])

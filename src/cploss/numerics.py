@@ -156,17 +156,47 @@ def _gk15(f: Callable, a: float, b: float) -> tuple[float, float]:
 _NARROW = 1e3 * np.finfo(float).eps
 
 
-def _geometric_tail(s_prev: float, s: float) -> float | None:
-    """The integral between an end and its last two halving-annulus sums.
+# The number of halving-annulus sums an end tail is extrapolated from.
+_ANNULI = 12
+
+
+def _epsilon(xs: list[float]) -> float:
+    """The limit of the sequence ``xs`` by Wynn's epsilon algorithm.
+
+    Each even column of the epsilon table is a sharper estimate of the limit
+    (the second is Aitken's delta-squared); the last entry of the last even
+    column is returned.  The table stops at a column with two equal entries,
+    where floats can resolve nothing further, or at a non-finite estimate.
+    Plain Python: the table is small, and numpy's per-call cost dominates it.
+    """
+    best = xs[-1]
+    prev, col = [0.0] * (len(xs) + 1), xs
+    for j in range(1, len(xs)):
+        try:
+            prev, col = col, [p + 1.0 / (y - x) for p, x, y in zip(prev[1:], col, col[1:])]
+        except ZeroDivisionError:
+            break
+        if j % 2 == 0:
+            if not math.isfinite(col[-1]):
+                break
+            best = col[-1]
+    return best
+
+
+def _end_tail(sums: list[float]) -> float | None:
+    """The integral between an end and the last of its halving-annulus sums.
 
     Bisecting the panel at an end cuts annuli ``[h/2, h]``, ``[h/4, h/2]``,
-    ... (as distances from the end) whose sums approach a constant ratio
-    ``r`` at an algebraic singularity.  The rest is then ``s * r / (1 - r)``,
-    the endpoint extrapolation of QUADPACK's QAGS; None when the sums do not
-    decay (``r`` outside (0, 1)).
+    ... (as distances from the end).  The tail is the :func:`_epsilon` limit
+    of their partial sums less the last partial sum, the endpoint
+    extrapolation of QUADPACK's QAGS.  Epsilon also gives divergent series a
+    finite value, so the tail is refused (None) unless the sums shrink and
+    their own limit is about zero, as it is for a convergent integral.
     """
-    r = s / s_prev if s_prev else 0.0
-    return s * r / (1.0 - r) if 0.0 < r < 1.0 else None
+    if not (abs(sums[-1]) < abs(sums[-2]) and abs(_epsilon(sums)) <= 0.1 * abs(sums[-1])):
+        return None
+    partial = list(itertools.accumulate(sums, initial=0.0))
+    return _epsilon(partial) - partial[-1]
 
 
 def integrate(f: Callable, a: float, b: float,
@@ -179,12 +209,11 @@ def integrate(f: Callable, a: float, b: float,
     spec.rel_tol * |estimate|)``, its one way to return.  Nodes are strictly
     interior, so ``f`` may be singular at ``a`` or ``b``.  Once an end panel
     has been split twice, ``f`` is evaluated at both ends, once; at an end
-    where it is not finite, the end panel takes :func:`_geometric_tail` of its
-    annulus sums, with the change from the previous estimate of the same
-    interval as its error, unless that estimate is larger than the previous
-    split's of the larger panel, as at a logarithmically divergent end.  An
-    end where ``f`` is finite, or whose tail is refused, gets plain
-    bisection, also when a singularity lies just beyond it.
+    where it is not finite, the end panel takes :func:`_end_tail` of its last
+    ``_ANNULI`` annulus sums, with the change from the previous estimate of
+    the same interval as its error.  An end where ``f`` is finite, or whose
+    tail is refused, gets plain bisection, also when a singularity lies just
+    beyond it.
 
     Raises
     ------
@@ -210,8 +239,7 @@ def integrate(f: Callable, a: float, b: float,
     heap = [(-total_err, next(counter), a, b, total_est, 0)]
     lo, hi = a, b
     singular = None          # whether f is not finite at a and at b, once asked
-    annulus = [None, None]   # the last halving-annulus sum next to a and to b
-    spans = [None, None]     # the last split's estimate of the end panel it split
+    sums = ([], [])          # the last halving-annulus sums next to a and to b
     while True:
         if not (math.isfinite(total_est) and math.isfinite(total_err)):
             raise IntegrationError(  # a Kronrod sum overflowed on finite values
@@ -229,15 +257,15 @@ def integrate(f: Callable, a: float, b: float,
             if not at_end:
                 continue
             s = halves[1 - side][0]   # the annulus next to the new end panel
-            if annulus[side] is not None:
+            sums[side].append(s)
+            del sums[side][:-_ANNULI]
+            if len(sums[side]) > 1:
                 if singular is None:
                     with np.errstate(all="ignore"):
                         singular = ~np.isfinite(np.asarray(f(np.array([a, b])), dtype=float))
-                tail = _geometric_tail(annulus[side], s) if singular[side] else None
-                prev, spans[side] = spans[side], None if tail is None else s + tail
-                if tail is not None and (prev is None or abs(s + tail) <= abs(prev)):
+                tail = _end_tail(sums[side]) if singular[side] else None
+                if tail is not None:
                     halves[side] = (tail, abs(s + tail - est))
-            annulus[side] = s
         (left, lerr), (right, rerr) = halves
         total_est += left + right - est
         total_err += lerr + rerr + neg_err

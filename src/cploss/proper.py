@@ -13,20 +13,17 @@ ProperLoss values are immutable; every function here is pure.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .numerics import (IntegrationError, NumericsError, antiderivative, array_fn, finite_diff,
-                       integrate)
+from .numerics import NumericsError, antiderivative, array_fn, finite_diff, integrate
 from .weights import WeightFunction, catalog_weight, tabulated_weight
 
 __all__ = [
     "ImpropernessError",
     "ProperLoss",
-    "CostLoss",
     "from_weight",
     "cost_loss",
     "zero_one_loss",
@@ -89,41 +86,6 @@ class ProperLoss:
             b = eps * float(self.ell_neg(1.0 - eps))    # eta -> 1 side
             if not (np.isfinite(a) and np.isfinite(b) and abs(a) < 0.1 and abs(b) < 0.1):
                 raise ImpropernessError(f"{self.name}: regularity probe failed near eta={eps}")
-
-
-@dataclass(frozen=True)
-class CostLoss:
-    """Cost-weighted misclassification loss with threshold ``c0``.
-
-    ``ell_neg(etahat) = c0 * [etahat >= c0]`` and
-    ``ell_pos(etahat) = (1 - c0) * [etahat < c0]``; the indicator conventions
-    at the threshold are exact, never smoothed.
-    """
-
-    c0: float
-
-    def __post_init__(self):
-        if not 0.0 < self.c0 < 1.0:
-            raise ValueError(f"c0 must lie in (0,1), got {self.c0}")
-
-    def ell_pos(self, etahat):
-        e = np.asarray(etahat, dtype=float)
-        return (1.0 - self.c0) * (e < self.c0)
-
-    def ell_neg(self, etahat):
-        e = np.asarray(etahat, dtype=float)
-        return self.c0 * (e >= self.c0)
-
-    def ell(self, y: int, etahat):
-        """Loss of predicting ``etahat`` against label ``y`` in {-1, +1}."""
-        if y == 1:
-            return self.ell_pos(etahat)
-        if y == -1:
-            return self.ell_neg(etahat)
-        raise ValueError(f"label must be +1 or -1, got {y!r}")
-
-    def as_proper_loss(self) -> ProperLoss:
-        return cost_loss(self.c0)
 
 
 def _dyadic_strictness(wf: WeightFunction) -> bool:
@@ -287,8 +249,8 @@ def schervish_check(loss, y: int, etahat: float) -> float:
     contributions; for a fair proper loss this reproduces the partial loss.
     The integral is taken piece by piece between the weight's ``knots``
     inside its interval, so quadrature never spans a kink or jump of a
-    table.  A divergent piece is truncated with a warning, and its partial
-    estimate enters the sum.
+    table.  A divergent piece raises the :class:`IntegrationError` of
+    :func:`~cploss.numerics.integrate`.
     """
     if y not in (1, -1):
         raise ValueError("y must be +1 or -1")
@@ -309,11 +271,7 @@ def schervish_check(loss, y: int, etahat: float) -> float:
     edges = [a, *sorted(k for k in wf.knots if a < k < b), b]
     val = 0.0
     for lo, hi in zip(edges, edges[1:]):
-        try:
-            val += integrate(f, lo, hi)
-        except IntegrationError as err:
-            warnings.warn(f"mixture integral truncated: {err}", RuntimeWarning)
-            val += err.estimate
+        val += integrate(f, lo, hi)
     return val + atom_term
 
 

@@ -31,7 +31,7 @@ from cploss.experiments import (
 )
 from cploss.links import canonical_link, catalog_link
 from cploss.numerics import finite_diff
-from cploss.proper import CostLoss, catalog_loss, cost_loss, from_weight, reconstruct_symmetric
+from cploss.proper import catalog_loss, cost_loss, from_weight, reconstruct_symmetric
 from cploss.robustness import corrupt, cost_robust_interval, minimizer_set, noisy_loss, proper_nonrobust_region
 from cploss.weights import catalog_weight
 
@@ -270,7 +270,7 @@ def test_criterion_9_calibration():
     failures = []
     cs = np.round(np.arange(0.1, 0.95, 0.1), 10)
     for c0 in cs:
-        loss = CostLoss(float(c0))
+        loss = cost_loss(float(c0))
         for c in cs:
             got = calibration_cc(loss, float(c))
             want = bool(abs(c - c0) <= 1e-12)

@@ -19,7 +19,7 @@ from cploss.analysis import (
 )
 from cploss.composite import composite_from_margin, logistic_margin, make_composite
 from cploss.links import canonical_link, catalog_link
-from cploss.proper import CostLoss, catalog_loss, cost_loss, from_weight, zero_one_loss
+from cploss.proper import catalog_loss, cost_loss, from_weight, zero_one_loss
 from cploss.weights import WeightFunction, catalog_weight, tabulated_weight
 
 GRID = np.linspace(0.05, 0.95, 37)
@@ -266,7 +266,7 @@ class TestCalibration:
     def test_cost_loss_only_at_its_threshold(self):
         cs = np.round(np.arange(0.1, 0.95, 0.1), 10)
         for c0 in cs:
-            loss = CostLoss(float(c0))
+            loss = cost_loss(float(c0))
             for c in cs:
                 want = bool(abs(c - c0) <= 1e-12)
                 assert calibration_cc(loss, float(c)) is want, (c0, c)

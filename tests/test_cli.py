@@ -63,6 +63,14 @@ class TestEval:
                                 "--y", "-1", "--etahat", "0.4"])
         assert doc["value"] == pytest.approx(-np.log(0.6), abs=1e-8)
 
+    def test_expression_weight_with_strong_end_singularities(self, runner):
+        # ell_pos(0.3) is the integral of (1-c)^-0.7 c^-1.7 over [0.3, 1];
+        # the reference value is mpmath's
+        doc = run_json(runner, ["eval", "--loss",
+                                '{"weight":{"expr":"c^-1.7*(1-c)^-1.7"}}',
+                                "--y", "1", "--etahat", "0.3"])
+        assert doc["value"] == pytest.approx(5.0125028539619117, rel=1e-9)
+
     def test_spec_file(self, runner, tmp_path):
         path = tmp_path / "loss.json"
         path.write_text('{"weight":{"name":"square"}}')
@@ -457,6 +465,7 @@ _GRID_COMMANDS = {
     "region": ["--link", "logit", "--out", "region.csv"],
     "reconstruct-symmetric": ["--half", '{"expr": "1/(1-c)"}', "--side", "lower"],
     "margin-link": ["--phi", "logistic"],
+    "regret-bound": ["--curve", "--out", "bound.csv"],
 }
 
 

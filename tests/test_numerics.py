@@ -125,23 +125,30 @@ class TestEndpoints:
         assert _within(integrate(lambda x: (x + d) ** -p, 0.0, 1.0), want) <= 10
 
     @pytest.mark.parametrize("f", [lambda x: 1 / x, lambda x: 1 / (1 - x),
-                                   lambda x: (1 - x) ** -2], ids=["1/x", "1/(1-x)", "(1-x)^-2"])
+                                   lambda x: (1 - x) ** -2, lambda x: (1 - x) ** -1.2],
+                             ids=["1/x", "1/(1-x)", "(1-x)^-2", "(1-x)^-1.2"])
     def test_divergent_integral_raises_integration_error(self, f):
-        with pytest.raises(IntegrationError):
+        # the annulus sums of (1-x)^-1.2 grow by 2^0.2 a split; extrapolated
+        # anyway they give its analytic continuation, -5
+        with pytest.raises(IntegrationError, match="did not converge"):
             integrate(f, 0.0, 1.0)
 
     def test_logarithmically_divergent_end_raises(self):
-        # -log(1-u)/u^2 = 1/u + 1/2 + ...: the annulus sums fall towards log 2, so
-        # their ratio tends to 1 from below and each split estimates its end
-        # panel larger than the split before it estimated a larger one; the
-        # end then takes no tail and is bisected until it cannot be split
+        # -log(1-u)/u^2 = 1/u + 1/2 + ...: the annulus sums shrink, but towards
+        # log 2, not 0, so the end takes no tail and is bisected until it
+        # cannot be split
         with pytest.raises(IntegrationError, match="did not converge"):
             integrate(lambda u: -np.log1p(-u) / u ** 2, 0.0, 0.5)
 
-    def test_power_end_under_a_smooth_part_takes_its_tail_once_it_settles(self):
-        # the annulus ratio climbs from 0.65 towards 2^-0.1, so the first
-        # splits estimate their end panels larger than the split before
-        assert _within(integrate(lambda x: x ** -0.9 + 2.5, 0.0, 1.0), 12.5) <= 10
+    @pytest.mark.parametrize("f,want", [
+        (lambda x: x ** -0.9 + 2.5, 12.5),
+        (lambda x: (1 - x) ** -0.9 + 2.5, 12.5),
+        (lambda x: -np.log1p(-x) * (1 - x) ** -0.5 + 1, 5.0),
+    ], ids=["x^-0.9+2.5", "(1-x)^-0.9+2.5", "-log(1-x)(1-x)^-0.5+1"])
+    def test_singular_end_under_a_smooth_part_is_extrapolated(self, f, want):
+        # no single ratio of annulus sums holds here: the ratio of the powers
+        # climbs from 0.65 towards 2^-0.1 and the log's settles only as 1/log h
+        assert _within(integrate(f, 0.0, 1.0), want) <= 10
 
     def test_lower_partial_of_a_beta_weight_with_negative_exponents(self):
         # the integrand of from_weight's ell_neg for w = c^-1.9 (1-c)^-1.9 is
@@ -168,13 +175,8 @@ class TestEndpoints:
             whole = scipy.special.beta(a, b)
             left = scipy.special.betainc(a, b, x) * whole
             for lo, hi, want in ((0.0, x, left), (x, 1.0, whole - left)):
-                try:
-                    got = integrate(f, lo, hi)
-                except IntegrationError:
-                    continue
-                misses.append(_within(got, want))
-        assert max(misses) <= 100
-        assert sum(m > 10 for m in misses) <= 5
+                misses.append(_within(integrate(f, lo, hi), want))
+        assert max(misses) <= 10
 
 
 def legacy_gk15(f, a, b):
