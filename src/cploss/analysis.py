@@ -22,8 +22,8 @@ import numpy as np
 
 from .composite import CompositeLoss
 from .links import Link
-from .numerics import array_fn, finite_diff
-from .proper import ProperLoss
+from .numerics import finite_diff
+from .proper import ProperLoss, _weight_readings
 from .weights import WeightFunction, normalize_weight, tabulated_weight
 
 __all__ = [
@@ -145,21 +145,10 @@ def check_proper(ell_pos: Callable, ell_neg: Callable, grid: Sequence[float],
     residual is the largest normalised disagreement.  Raises ``ValueError``
     naming the first grid point where a ratio is not finite.
     """
-    ell_pos, ell_neg = array_fn(ell_pos), array_fn(ell_neg)
-    grid = np.asarray(grid, dtype=float)
-    r_pos = -finite_diff(ell_pos, grid, 1) / (1.0 - grid)
-    r_neg = finite_diff(ell_neg, grid, 1) / grid
-    bad = ~(np.isfinite(r_pos) & np.isfinite(r_neg))
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        which = "ell_pos" if not np.isfinite(r_pos[i]) else "ell_neg"
-        raise ValueError(f"{which} has no finite slope at grid point x={float(grid[i])!r}")
+    r_pos, r_neg = _weight_readings(ell_pos, ell_neg, grid)
     scale = np.maximum(1.0, np.maximum(np.abs(r_pos), np.abs(r_neg)))
-    resid = np.abs(r_pos - r_neg) / scale
-    max_resid = float(np.max(resid))
-    proper = bool(max_resid <= tol
-                  and np.all(r_pos >= -tol * scale)
-                  and np.all(r_neg >= -tol * scale))
+    max_resid = float(np.max(np.abs(r_pos - r_neg) / scale))
+    proper = bool(max_resid <= tol and np.all(np.minimum(r_pos, r_neg) >= -tol * scale))
     est = np.maximum(0.5 * (r_pos + r_neg), 0.0)
     weight = tabulated_weight(np.column_stack([grid, est]), name="slope-ratio-estimate")
     return proper, weight, max_resid
@@ -272,17 +261,17 @@ def calibration_cc(ell, c: float) -> bool | None:
     conditions are tested directly:
     ``ell_neg'(c) > 0``, ``ell_pos'(c) < 0`` and the stationarity identity
     ``c ell_pos'(c) + (1-c) ell_neg'(c) = 0`` within 1e-8 after normalising
-    by ``|ell_neg'(c)|``.  Returns None ("indeterminate") when a derivative
-    is numerically zero and the verdict would be a guess.
+    by ``|ell_neg'(c)|``, on the slopes that :func:`check_proper` reads.
+    Returns None ("indeterminate") when a derivative is numerically zero and
+    the verdict would be a guess; a slope that is not finite raises.
     """
     c = float(c)
     if not 0.0 < c < 1.0:
         raise ValueError("c must lie in (0,1)")
     if isinstance(ell, ProperLoss):
         return _atom_at(ell.weight, c) or float(ell.weight.w(c)) > 1e-12
-    ell_pos, ell_neg = map(array_fn, ell)
-    dp = finite_diff(ell_pos, c, 1)
-    dn = finite_diff(ell_neg, c, 1)
+    r_pos, r_neg = _weight_readings(*ell, [c])
+    dp, dn = -(1.0 - c) * float(r_pos[0]), c * float(r_neg[0])
     tau = 1e-8 * max(1.0, abs(dp), abs(dn))
     if abs(dn) <= tau or abs(dp) <= tau:
         return None

@@ -73,7 +73,11 @@ class ProperLoss:
         raise ValueError(f"label must be +1 or -1, got {y!r}")
 
     def validate(self) -> None:
-        """Probe fairness, nonnegativity and regularity on small grids."""
+        """Probe fairness and nonnegativity on a small grid.
+
+        Regularity (``e*ell_pos(e) -> 0`` at 0, and its mirror at 1) follows
+        from a definite weight, so it is not probed at finite ``e``.
+        """
         xs = np.linspace(0.01, 0.99, 25)
         if self.fair:
             if np.any(self.ell_pos(xs) < -1e-9) or np.any(self.ell_neg(xs) < -1e-9):
@@ -81,11 +85,6 @@ class ProperLoss:
             edge = max(abs(float(self.ell_neg(0.0))), abs(float(self.ell_pos(1.0))))
             if not edge <= 1e-9:
                 raise ImpropernessError(f"{self.name}: fairness anchors are not zero")
-        for eps in (1e-4, 1e-6):
-            a = eps * float(self.ell_pos(eps))          # eta -> 0 side
-            b = eps * float(self.ell_neg(1.0 - eps))    # eta -> 1 side
-            if not (np.isfinite(a) and np.isfinite(b) and abs(a) < 0.1 and abs(b) < 0.1):
-                raise ImpropernessError(f"{self.name}: regularity probe failed near eta={eps}")
 
 
 def _dyadic_strictness(wf: WeightFunction) -> bool:
@@ -233,13 +232,11 @@ def savage_check(loss, grid: Iterable[tuple[float, float]]) -> float:
     with the Bayes-risk derivative estimated by central differences, so the
     check is independent of the closed-form route.
     """
-    worst = 0.0
-    for eta, etahat in grid:
-        lhs = conditional_risk(loss, eta, etahat)
-        dbar = finite_diff(lambda t: bayes_risk(loss, t), etahat, 1)
-        rhs = bayes_risk(loss, etahat) + (eta - etahat) * dbar
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    eta, etahat = np.asarray(list(grid), dtype=float).reshape(-1, 2).T
+    lhs = conditional_risk(loss, eta, etahat)
+    dbar = finite_diff(lambda t: bayes_risk(loss, t), etahat, 1)
+    rhs = bayes_risk(loss, etahat) + (eta - etahat) * dbar
+    return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
 
 def schervish_check(loss, y: int, etahat: float) -> float:
@@ -275,23 +272,37 @@ def schervish_check(loss, y: int, etahat: float) -> float:
     return val + atom_term
 
 
-def weight_from_loss(loss, grid: Sequence[float] | None = None,
-                     h: float = 1e-4) -> WeightFunction:
-    """Recover the weight as minus the curvature of the Bayes risk.
+def _weight_readings(ell_pos: Callable, ell_neg: Callable, xs: Sequence[float]):
+    """The slope readings ``-ell_pos'(x)/(1-x)`` and ``ell_neg'(x)/x`` of ``w`` at ``xs``.
 
-    Returns a tabulated WeightFunction estimated by central second
-    differences of :func:`bayes_risk` on ``grid`` (default: 511 interior
-    points).  Raises :class:`ImpropernessError` when the curvature estimate
-    is significantly positive anywhere.
+    Central differences, ``ell_neg`` read first.  Raises ``ValueError`` naming
+    the first point where a slope is not finite.
+    """
+    xs = np.asarray(xs, dtype=float)
+    ell_pos, ell_neg = array_fn(ell_pos), array_fn(ell_neg)
+    r_neg = finite_diff(ell_neg, xs, 1) / xs
+    r_pos = -finite_diff(ell_pos, xs, 1) / (1.0 - xs)
+    bad = ~(np.isfinite(r_pos) & np.isfinite(r_neg))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        which = "ell_pos" if not np.isfinite(r_pos[i]) else "ell_neg"
+        raise ValueError(f"{which} has no finite slope at grid point x={float(xs[i])!r}")
+    return r_pos, r_neg
+
+
+def weight_from_loss(loss, grid: Sequence[float] | None = None) -> WeightFunction:
+    """Recover the weight as the mean of ``-ell_pos'(x)/(1-x)`` and ``ell_neg'(x)/x``.
+
+    Returns the tabulated estimate of :func:`~cploss.analysis.check_proper`
+    on ``grid`` (default: 511 interior points).  Raises
+    :class:`ImpropernessError` when a slope reading is significantly negative.
     """
     if grid is None:
         grid = np.linspace(1.0 / 512.0, 511.0 / 512.0, 511)
-    grid = np.asarray(grid, dtype=float)
-    est = -finite_diff(lambda t: bayes_risk(loss, t), grid, 2, h=h)
-    scale = max(1.0, float(np.nanmax(np.abs(est))))
-    if np.any(est < -1e-3 * scale):
+    r_pos, r_neg = readings = _weight_readings(loss.ell_pos, loss.ell_neg, grid)
+    if np.min(readings) < -1e-3 * max(1.0, float(np.max(np.abs(readings)))):
         raise ImpropernessError("negative weight estimate: loss is not proper")
-    est = np.maximum(est, 0.0)
+    est = np.maximum(0.5 * (r_pos + r_neg), 0.0)
     return tabulated_weight(np.column_stack([grid, est]), name=f"weight({loss.name})")
 
 
@@ -310,9 +321,9 @@ def reconstruct_symmetric(half: Callable, side: str) -> ProperLoss:
     middle term is 0 where a factor is 0, also against an infinite one at
     ``e = 0`` or ``e = 1``: its limit there when the completion is finite.
     The positive partial is
-    ``ell_pos(e) = ell_neg(1-e)``.  The result is checked for properness
-    (nonnegative implied weight) on a probe grid, and is fair when
-    ``ell_neg(0) = 0``.
+    ``ell_pos(e) = ell_neg(1-e)``.  Both slope readings of the weight, as in
+    :func:`weight_from_loss`, must be nonnegative on a probe grid, where
+    their mean is the weight.  The loss is fair when ``ell_neg(0) = 0``.
     """
     if side not in ("lower", "upper"):
         raise ValueError("side must be 'lower' or 'upper'")
@@ -330,16 +341,14 @@ def reconstruct_symmetric(half: Callable, side: str) -> ProperLoss:
         out[~given] = twice_mid - np.where((x == 0.0) | (hm == 0.0), 0.0, x / m * hm) - G(m)
         return out
 
-    # the probes below read the partials before the loss that holds them exists
+    # read below, at a float too, before the loss that holds them exists
     ell_neg = array_fn(ell_neg)
     ell_pos = lambda e: ell_neg(1.0 - e)
-
-    # Properness probe: the implied weight ell_neg'(e)/e must be nonnegative.
     probe = np.linspace(0.02, 0.98, 49)
-    dneg = finite_diff(ell_neg, probe, 1)
-    w_est = dneg / probe
-    if np.any(w_est < -1e-6 * max(1.0, float(np.max(np.abs(w_est))))):
+    r_pos, r_neg = readings = _weight_readings(ell_pos, ell_neg, probe)
+    if np.min(readings) < -1e-6 * max(1.0, float(np.max(np.abs(readings)))):
         raise ImpropernessError("reconstructed loss has negative implied weight")
+    w_est = 0.5 * (r_pos + r_neg)
     weight = tabulated_weight(np.column_stack([probe, np.maximum(w_est, 0.0)]),
                               name="reconstructed")
 

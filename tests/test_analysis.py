@@ -304,6 +304,15 @@ class TestCalibration:
                 lambda e: np.asarray(e, dtype=float) ** 2 / 2)
         assert calibration_cc(pair, 0.3) is None
 
+    @pytest.mark.parametrize("pair, partial", [
+        ((lambda e: np.sqrt(0.3 - e), lambda e: e ** 2 / 2), "ell_pos"),
+        ((lambda e: (1 - e) ** 2 / 2, lambda e: np.log(e - 0.3)), "ell_neg"),
+    ], ids=["sqrt(0.3-c)", "log(c-0.3)"])
+    def test_partials_route_raises_on_a_non_finite_slope(self, pair, partial):
+        # one side of the central difference at c = 0.3 is NaN
+        with pytest.raises(ValueError, match=f"{partial} has no finite slope at grid point x=0.3"):
+            calibration_cc(pair, 0.3)
+
     def test_composite_delegates(self):
         cl = make_composite(catalog_loss("log"), catalog_link("logit"))
         for c in [0.1, 0.5, 0.9]:

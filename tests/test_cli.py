@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -70,6 +71,20 @@ class TestEval:
                                 '{"weight":{"expr":"c^-1.7*(1-c)^-1.7"}}',
                                 "--y", "1", "--etahat", "0.3"])
         assert doc["value"] == pytest.approx(5.0125028539619117, rel=1e-9)
+
+    def test_expression_weight_with_the_strongest_definite_ends(self, runner):
+        # ell_pos(0.3) = 0.7^0.1/0.1 * 2F1(1.9, 0.1; 1.1; 0.7) for c^-1.9 (1-c)^-1.9
+        doc = run_json(runner, ["eval", "--loss",
+                                '{"weight":{"expr":"c^-1.9*(1-c)^-1.9"}}',
+                                "--y", "1", "--etahat", "0.3"])
+        want = 0.7 ** 0.1 / 0.1 * scipy.special.hyp2f1(1.9, 0.1, 1.1, 0.7)
+        assert doc["value"] == pytest.approx(want, rel=1e-9)
+
+    def test_non_definite_expression_weight_is_numeric_failure(self, runner):
+        # the integral of c * c^-2 from 0 diverges
+        result = runner.invoke(main, ["eval", "--loss", '{"weight":{"expr":"c^-2"}}',
+                                      "--y", "1", "--etahat", "0.3"])
+        assert result.exit_code == 3, result.output
 
     def test_spec_file(self, runner, tmp_path):
         path = tmp_path / "loss.json"

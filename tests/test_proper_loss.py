@@ -5,7 +5,11 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from cploss.analysis import check_proper
 from cploss.expressions import compile_expression
 from cploss.numerics import IntegrationError, integrate
 from cploss.proper import (
@@ -121,6 +125,17 @@ class TestFromWeight:
         for e in (0.2, 0.6, 0.9):
             for y, partial in ((1, ref.ell_pos), (-1, ref.ell_neg)):
                 assert schervish_check(loss, y, e) == pytest.approx(float(partial(e)), rel=1e-9)
+
+    def test_strong_end_singularities_are_regular(self):
+        # w = c^-1.9 (1-c)^-1.9 is definite, so e*ell_pos(e) -> 0 although it is
+        # still about e^0.1/0.9 = 0.44 at e = 1e-4; the partials are incomplete
+        # beta functions, by symmetry ell_pos(e) = ell_neg(1-e) =
+        # (1-e)^0.1/0.1 * 2F1(1.9, 0.1; 1.1; 1-e)
+        loss = from_weight(WeightFunction(w=compile_expression("c^-1.9*(1-c)^-1.9")))
+        es = np.array([0.01, 0.1, 0.3, 0.5, 0.9, 0.99])
+        want = (1 - es) ** 0.1 / 0.1 * scipy.special.hyp2f1(1.9, 0.1, 1.1, 1 - es)
+        assert np.max(np.abs(loss.ell_pos(es) / want - 1)) <= 1e-9
+        assert np.max(np.abs(loss.ell_neg(1 - es) / want - 1)) <= 1e-9
 
 
 class TestRisks:
@@ -295,6 +310,50 @@ class TestWeightFromLoss:
             fair=False, name="reversed-square")
         with pytest.raises(ImpropernessError):
             weight_from_loss(bad, grid=np.linspace(0.2, 0.8, 7))
+
+    def test_default_grid_reads_the_catalog_weights(self):
+        grid = np.linspace(1.0 / 512.0, 511.0 / 512.0, 511)
+        for name in ["square", "log", "boosting", "minimal", "w1-over-c", "w1-over-1mc"]:
+            loss = catalog_loss(name)
+            got, want = weight_from_loss(loss).w(grid), loss.weight.w(grid)
+            off_kink = np.abs(grid - 0.5) > 3e-4
+            assert np.max(np.abs(got - want)[off_kink] / want[off_kink]) <= 1e-5, name
+
+
+# The two slope readings of w at x take central differences (step 1e-5) of
+# partials that quadrature gives to a relative 1e-10, so each reading carries
+# up to 1e-10 |ell| / 1e-5 of noise, over x or 1-x.  At the kink of minimal at
+# 1/2 the differences are biased by h/4 times the jump of ell'': at most 1e-5
+# of w.  The bound below doubles both.
+WEIGHT_GRID = np.linspace(0.05, 0.95, 19)
+WEIGHT_NOISE = 1e-10 / 1e-5
+CLOSED_FORMS = ["square", "log", "boosting", "w1-over-c", "w1-over-1mc", "minimal"]
+
+
+def assert_weight_recovered(wf):
+    loss = from_weight(wf)
+    g = WEIGHT_GRID
+    got, want = weight_from_loss(loss, g).w(g), wf.w(g)
+    noise = WEIGHT_NOISE * (np.abs(loss.ell_pos(g)) / (1 - g) + np.abs(loss.ell_neg(g)) / g)
+    assert np.all(np.abs(got - want) <= 2e-5 * np.maximum(1.0, want) + 2.0 * noise)
+    assert np.array_equal(got, check_proper(loss.ell_pos, loss.ell_neg, g)[1].w(g))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-0.9, 3.0), st.floats(-0.9, 3.0))
+@example(-0.9, -0.9)
+def test_weight_from_loss_recovers_beta_weights(a, b):
+    # c^(a-1) (1-c)^(b-1) through quadrature partials, strong ends included
+    assert_weight_recovered(WeightFunction(w=compile_expression(f"c^({a - 1})*(1-c)^({b - 1})")))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.dictionaries(st.sampled_from(CLOSED_FORMS), st.floats(0.1, 3.0), min_size=1))
+def test_weight_from_loss_recovers_catalog_mixtures(masses):
+    parts = [(m, catalog_weight(name)) for name, m in masses.items()]
+    mix = lambda field: (lambda c: sum(m * getattr(wf, field)(c) for m, wf in parts))
+    assert_weight_recovered(WeightFunction(w=mix("w"), W=mix("W"), Wbar=mix("Wbar"),
+                                           knots=(0.5,) if "minimal" in masses else ()))
 
 
 def reconstruction_quadrature_oracle(half_derivative, e):
