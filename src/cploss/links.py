@@ -222,12 +222,12 @@ def canonical_link(wf: WeightFunction) -> Link:
     steps: each costs one evaluation of ``psi`` and one of ``w``.  ``psi`` is
     the weight's own ``W`` when it has one (the catalog weights, and the
     exact piecewise-quadratic ``W`` of a table), else
-    ``antiderivative(w, 1/2)``, one quadrature per point; the weight itself
-    is neither rebuilt nor checked again.  Where ``psi`` cannot be evaluated
-    at ``1e-12`` (or ``1 - 1e-12``), as quadrature up to a strong endpoint
-    singularity may not be, the nearest of the offsets ``1e-9``, ``1e-6``
-    and ``1e-4`` that gives a finite value ends the domain of ``q`` and the
-    score range.
+    ``antiderivative(w, 1/2)``, all points in one lockstep quadrature; the
+    weight is neither rebuilt nor checked again.  Where ``psi`` cannot be
+    evaluated at ``1e-12`` (or ``1 - 1e-12``), as quadrature up to a strong
+    endpoint singularity may not be, the nearest of the offsets ``1e-9``,
+    ``1e-6`` and ``1e-4`` that gives a finite value ends the domain of ``q``
+    and the score range.
     """
     if wf.has_atoms:
         raise ValueError("canonical link is undefined for weights with atoms")

@@ -126,29 +126,44 @@ _GAUSS_W = np.zeros(15)
 _GAUSS_W[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])   # Gauss nodes sit at odd slots
 
 
-def _gk15(f: Callable, a: float, b: float) -> tuple[float, float]:
-    """One Gauss-Kronrod 7/15 panel; returns (estimate, error_estimate).
+# The Kronrod and Gauss weights down the node axis, the middle node's halved:
+# the sums of :func:`_gk15` add that node twice.
+_RULES = np.stack([_KRONROD_W, _GAUSS_W], axis=1)[:, :, None]
+_RULES[7] /= 2.0
 
-    Finiteness is checked once per panel, on the Kronrod sum: all 15 Kronrod
-    weights are positive, so the sum is finite only if every value is.  The
-    values are scanned only when it is not, to name the first bad node or to
-    find that the sum of finite values overflowed (which is returned, for
-    :func:`integrate` to raise on).  A panel holding both +inf and -inf also
-    makes numpy warn, while summing, that inf - inf is invalid.
+
+def _gk15(f: Callable, mid, half) -> tuple[list, dict]:
+    """Gauss-Kronrod 7/15 panels of midpoints ``mid`` and half-widths ``half``.
+
+    ``f`` is called once, on all nodes as one flat array.  Returns each
+    panel's ``(estimate, error)`` and ``{panel: NumericsError}`` naming the
+    first node of a panel where ``f`` is not finite.  The node sums are a
+    fixed tree of elementwise additions, so they do not depend on the other
+    panels.  The Kronrod weights are all positive, so a Kronrod sum is finite
+    only if every value is; only then are a panel's values scanned, to name
+    the first bad node or to find an overflow, for :func:`integrate` to raise.
     """
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    xs = mid + half * _NODES
-    ys = np.asarray(f(xs), dtype=float)
-    if ys.shape != xs.shape:
+    half = np.array(half)
+    xs = _NODES[:, None] * half + np.array(mid)    # node j of panel i at [j, i]
+    ys = np.asarray(f(xs.ravel()), dtype=float)
+    if ys.shape != (xs.size,):
         raise NumericsError("integrand must map an ndarray of points to an ndarray")
-    kronrod = float(_KRONROD_W @ ys)
-    if not math.isfinite(kronrod) and not np.all(np.isfinite(ys)):
-        bad = xs[~np.isfinite(ys)][0]
-        raise NumericsError(f"integrand returned a non-finite value at x={bad!r}")
-    k15 = half * kronrod
-    g7 = half * float(_GAUSS_W @ ys)
-    return k15, abs(k15 - g7)
+    ys = ys.reshape(xs.shape)
+    with np.errstate(invalid="ignore", over="ignore"):   # inf - inf or inf * 0 on a bad panel
+        p = _RULES * ys[:, None]
+        p = p[:8] + p[7:]
+        p = p[:4] + p[4:]
+        p = p[:2] + p[2:]
+        p = p[0] + p[1]
+        k15 = p[0] * half
+        err = np.abs(k15 - p[1] * half)
+    k15 = k15.tolist()
+    bad = {}
+    if not math.isfinite(sum(k15)):   # a NaN or inf, or else an overflow
+        for i in np.flatnonzero(~np.isfinite(ys).all(axis=0)).tolist():
+            bad[i] = NumericsError("integrand returned a non-finite value at "
+                                   f"x={xs[:, i][~np.isfinite(ys[:, i])][0]!r}")
+    return list(zip(k15, err.tolist())), bad
 
 
 # A panel narrower than this, relative to the size of its ends, is not split:
@@ -199,42 +214,20 @@ def _end_tail(sums: list[float]) -> float | None:
     return _epsilon(partial) - partial[-1]
 
 
-def integrate(f: Callable, a: float, b: float,
-              spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
-    """Estimate the integral of ``f`` over ``[a, b]``, or raise.
+_ENDS = "ends"    # what the loop of an interval yields to ask whether f is finite at its ends
 
-    ``f`` must map an ndarray of points to an ndarray of values.  Globally
-    adaptive bisection splits the Gauss-Kronrod 7/15 panel with the largest
-    error estimate until the summed estimate is at most ``max(spec.abs_tol,
-    spec.rel_tol * |estimate|)``, its one way to return.  Nodes are strictly
-    interior, so ``f`` may be singular at ``a`` or ``b``.  Once an end panel
-    has been split twice, ``f`` is evaluated at both ends, once; at an end
-    where it is not finite, the end panel takes :func:`_end_tail` of its last
-    ``_ANNULI`` annulus sums, with the change from the previous estimate of
-    the same interval as its error.  An end where ``f`` is finite, or whose
-    tail is refused, gets plain bisection, also when a singularity lies just
-    beyond it.
 
-    Raises
-    ------
-    NumericsError
-        If the integrand returns NaN/inf at an interior node or the bounds
-        are invalid.
-    IntegrationError
-        If the panel to split is ``spec.max_depth`` bisections deep or too
-        narrow to split in floating point, or a panel's estimate or error
-        overflows on finite values; the exception carries the partial
-        estimate.
-    """
-    a, b = float(a), float(b)
+def _adapt(a: float, b: float, spec: QuadratureSpec):
+    """The adaptive loop of :func:`integrate` on ``[a, b]``, as a coroutine that
+    yields the ``(mid, half)`` of the panels it needs (or ``_ENDS``) and is sent
+    their ``(estimate, error)`` (or whether ``f`` is not finite at ``a``, ``b``)."""
     if not (math.isfinite(a) and math.isfinite(b)):
         raise NumericsError("integration bounds must be finite")
     if a > b:
         raise NumericsError("integrate requires a <= b; negate for reversed bounds")
     if a == b:
         return 0.0
-
-    total_est, total_err = _gk15(f, a, b)
+    (total_est, total_err), = yield [(0.5 * (a + b), 0.5 * (b - a))]
     counter = itertools.count()
     heap = [(-total_err, next(counter), a, b, total_est, 0)]
     lo, hi = a, b
@@ -252,7 +245,7 @@ def integrate(f: Callable, a: float, b: float,
             raise IntegrationError(f"quadrature did not converge on [{lo!r}, {hi!r}] "
                                    f"(depth {depth}, width {hi - lo:.3g})", estimate=total_est)
         mid = 0.5 * (lo + hi)
-        halves = [_gk15(f, lo, mid), _gk15(f, mid, hi)]
+        halves = yield [(0.5 * (lo + mid), 0.5 * (mid - lo)), (0.5 * (mid + hi), 0.5 * (hi - mid))]
         for side, at_end in enumerate((lo == a, hi == b)):
             if not at_end:
                 continue
@@ -261,8 +254,7 @@ def integrate(f: Callable, a: float, b: float,
             del sums[side][:-_ANNULI]
             if len(sums[side]) > 1:
                 if singular is None:
-                    with np.errstate(all="ignore"):
-                        singular = ~np.isfinite(np.asarray(f(np.array([a, b])), dtype=float))
+                    singular = yield _ENDS
                 tail = _end_tail(sums[side]) if singular[side] else None
                 if tail is not None:
                     halves[side] = (tail, abs(s + tail - est))
@@ -273,22 +265,91 @@ def integrate(f: Callable, a: float, b: float,
         heapq.heappush(heap, (-rerr, next(counter), mid, hi, right, depth + 1))
 
 
+def integrate(f: Callable, a, b, spec: QuadratureSpec = DEFAULT_QUADRATURE):
+    """Estimate the integral of ``f`` over ``[a, b]``, or raise.
+
+    ``f`` must map an ndarray of points to an ndarray of values.  Globally
+    adaptive bisection splits the Gauss-Kronrod 7/15 panel with the largest
+    error estimate until the summed estimate is at most ``max(spec.abs_tol,
+    spec.rel_tol * |estimate|)``, its one way to return.  Nodes are strictly
+    interior, so ``f`` may be singular at ``a`` or ``b``.  Once an end panel
+    has been split twice, ``f`` is evaluated at both ends, once; at an end
+    where it is not finite, the end panel takes :func:`_end_tail` of its last
+    ``_ANNULI`` annulus sums, with the change from the previous estimate of
+    the same interval as its error.  An end where ``f`` is finite, or whose
+    tail is refused, gets plain bisection, also when a singularity lies just
+    beyond it.
+
+    Float bounds give a float; arrays of bounds, broadcast together, an array.
+    The intervals advance in lockstep passes: each unfinished one splits its
+    worst panel, and one call of ``f`` evaluates the new panels of all.  Each
+    keeps its own panels, ends and stopping rule, and its value does not
+    depend, bitwise, on the other intervals of the call.  Of failing
+    intervals, the error of the lowest-index one is raised.
+
+    Raises
+    ------
+    NumericsError
+        If the integrand returns NaN/inf at an interior node or the bounds
+        are invalid.
+    IntegrationError
+        If the panel to split is ``spec.max_depth`` bisections deep or too
+        narrow to split in floating point, or a panel's estimate or error
+        overflows on finite values; the exception carries the partial
+        estimate.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        a, b = np.broadcast_arrays(a, b)
+    bounds = list(zip(a.ravel().tolist(), b.ravel().tolist()))
+    out = [0.0] * len(bounds)
+    first, error = len(bounds), None     # the lowest failing index, and its error
+    live = [[i, _adapt(lo, hi, spec), None] for i, (lo, hi) in enumerate(bounds)]
+    asks, replies = live, [None] * len(live)   # [index, loop, its request]; None starts it
+    while asks:
+        for e, reply in zip(asks, replies):
+            if e[0] > first:
+                break
+            try:
+                e[2] = e[1].throw(reply) if isinstance(reply, Exception) else e[1].send(reply)
+            except StopIteration as stop:
+                out[e[0]], e[2] = stop.value, None
+            except NumericsError as exc:
+                first, error, e[2] = e[0], exc, None
+        live = [e for e in live if e[2] is not None and e[0] < first]
+        asks = [e for e in live if e[2] is _ENDS]   # answered before the next panels
+        if asks:
+            with np.errstate(all="ignore"):
+                ys = np.asarray(f(np.array([bounds[e[0]] for e in asks]).ravel()), dtype=float)
+            replies = (~np.isfinite(ys)).reshape(-1, 2).tolist()
+        elif live:
+            panels, bad = _gk15(f, *zip(*[p for e in live for p in e[2]]))
+            asks, replies, k = live, [], 0
+            for e in live:
+                rows, k = range(k, k + len(e[2])), k + len(e[2])
+                failed = [bad[r] for r in rows if r in bad] if bad else None
+                replies.append(failed[0] if failed else panels[rows.start:k])
+    if error is not None:
+        raise error
+    return out[0] if a.ndim == 0 else np.array(out).reshape(a.shape)
+
+
 def antiderivative(f: Callable, anchor: float) -> Callable:
     """The map ``x -> integral of f from anchor to x``, elementwise over arrays.
 
     Below the anchor the value is ``-integral of f from x to anchor``, so the
     sign follows the orientation of the interval and the value at the anchor
-    itself is +0.0.  ``f`` must accept ndarrays (see :func:`integrate`); each
-    evaluation point costs one adaptive quadrature.
+    itself is +0.0.  ``f`` must accept ndarrays (see :func:`integrate`).  All
+    points of one call are integrated by one lockstep :func:`integrate`, so a
+    point's value does not depend on the other points, and where points
+    fail, the error of the first is raised.
     """
     anchor = float(anchor)
 
     def F(x):
         xs = np.asarray(x, dtype=float)
-        out = np.empty(xs.shape)
-        for i, t in np.ndenumerate(xs):
-            out[i] = integrate(f, anchor, t) if t >= anchor else -integrate(f, t, anchor)
-        return out
+        v = integrate(f, np.minimum(xs, anchor), np.maximum(xs, anchor))
+        return np.where(xs >= anchor, v, -v)
 
     return F
 

@@ -245,9 +245,10 @@ def schervish_check(loss, y: int, etahat: float) -> float:
     Returns ``integral over c of ell_c(y, etahat) * w(c) dc`` plus the atom
     contributions; for a fair proper loss this reproduces the partial loss.
     The integral is taken piece by piece between the weight's ``knots``
-    inside its interval, so quadrature never spans a kink or jump of a
-    table.  A divergent piece raises the :class:`IntegrationError` of
-    :func:`~cploss.numerics.integrate`.
+    inside its interval, all pieces in one array call of
+    :func:`~cploss.numerics.integrate`, so quadrature never spans a kink or
+    jump of a table.  A divergent piece raises its
+    :class:`~cploss.numerics.IntegrationError`.
     """
     if y not in (1, -1):
         raise ValueError("y must be +1 or -1")
@@ -266,10 +267,7 @@ def schervish_check(loss, y: int, etahat: float) -> float:
         f = lambda c: (1.0 - c) * wf.w(c)
         a, b = etahat, 1.0
     edges = [a, *sorted(k for k in wf.knots if a < k < b), b]
-    val = 0.0
-    for lo, hi in zip(edges, edges[1:]):
-        val += integrate(f, lo, hi)
-    return val + atom_term
+    return float(np.sum(integrate(f, edges[:-1], edges[1:]))) + atom_term
 
 
 def _weight_readings(ell_pos: Callable, ell_neg: Callable, xs: Sequence[float]):

@@ -37,10 +37,10 @@ _CHECK_QUADRATURE = QuadratureSpec(abs_tol=1e-8 * 2.0 * _CHECK_H, rel_tol=1e-8)
 
 
 def _check_mean(g: Callable, edges: list[float]) -> float:
-    """Mean of ``g`` from ``edges[0]`` to ``edges[-1]``, integrated piece by
-    piece between the ascending ``edges``; NaN where quadrature fails."""
+    """Mean of ``g`` from ``edges[0]`` to ``edges[-1]``, one array integral over
+    the pieces between the ascending ``edges``; NaN where quadrature fails."""
     try:
-        total = sum(integrate(g, a, b, _CHECK_QUADRATURE) for a, b in zip(edges, edges[1:]))
+        total = float(np.sum(integrate(g, edges[:-1], edges[1:], _CHECK_QUADRATURE)))
     except NumericsError:
         return math.nan
     return total / (edges[-1] - edges[0])

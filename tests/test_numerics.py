@@ -12,6 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar as scipy_minimize
 
 import cploss
@@ -27,6 +29,7 @@ from cploss.numerics import (
     lambert_w0,
     minimize_scalar,
 )
+from weight_strategies import BETA_EXPONENTS, beta_expression
 
 
 def gauss_legendre_fixed(f, a, b, panels=256, order=20):
@@ -195,6 +198,20 @@ def legacy_gk15(f, a, b):
     return k15, abs(k15 - g7)
 
 
+_gk15 = numerics._gk15
+
+
+def scanning_gk15(f, mid, half):
+    """``numerics._gk15`` with every value of every panel scanned for finiteness first."""
+    xs = np.array(mid) + np.array(half) * numerics._NODES[:, None]
+    ys = np.asarray(f(xs.ravel()), dtype=float)
+    panels, _ = _gk15(lambda x: ys, mid, half)
+    bad = {i: NumericsError(f"integrand returned a non-finite value at "
+                            f"x={xs[:, i][~np.isfinite(col)][0]!r}")
+           for i, col in enumerate(ys.reshape(xs.shape).T) if not np.all(np.isfinite(col))}
+    return panels, bad
+
+
 def ones_with(values):
     """An integrand of ones except at the given node indices of each panel."""
     def f(x):
@@ -246,9 +263,16 @@ class TestPanelFiniteness:
     ], ids=["max", "min", "half"])
     @pytest.mark.parametrize("a,b", [(0.0, 2.0), (0.0, 1.0), (-1e300, 1e300)])
     def test_finite_panel_whose_sum_overflows_behaves_as_before(self, f, a, b):
+        # the same infinities, and the same finite sums up to their order of summation
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            assert repr(numerics._gk15(f, a, b)) == repr(legacy_gk15(f, a, b))
+            [panel], bad = numerics._gk15(f, [0.5 * (a + b)], [0.5 * (b - a)])
+            assert not bad
+            for new, old in zip(panel, legacy_gk15(f, a, b)):
+                if math.isfinite(old):
+                    assert new == pytest.approx(old, rel=1e-14, abs=1e-15)
+                else:
+                    assert repr(float(new)) == repr(old)
 
     @pytest.mark.parametrize("f", [
         lambda x: np.full_like(x, 1e308),
@@ -306,8 +330,82 @@ def _integrals(f):
 def test_integrals_are_bitwise_those_of_the_per_value_scan(name, monkeypatch):
     f = _INTEGRANDS[name]
     new = _integrals(f)
-    monkeypatch.setattr(numerics, "_gk15", legacy_gk15)
+    monkeypatch.setattr(numerics, "_gk15", scanning_gk15)
     assert new == _integrals(f)
+
+
+def _outcome(compute):
+    """A float's bytes, an array's, or the type, message and estimate of the error raised."""
+    try:
+        return np.asarray(compute(), dtype=float).tobytes()
+    except NumericsError as err:
+        return type(err), str(err), np.float64(getattr(err, "estimate", math.nan)).tobytes()
+
+
+# Bounds in [0, 1], with the ends, where a Beta integrand with a negative exponent is singular.
+UNIT_BOUND = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+def _assert_batch_is_each_alone(batch, alone, n):
+    """``batch(idx)`` over index arrays is ``alone(i)`` entry by entry, bitwise; a
+    failing batch raises what its lowest-index failing entry raises alone."""
+    singles = [alone(i) for i in range(n)]
+    failing = [r for r in singles if isinstance(r, tuple)]
+    assert batch(np.arange(n)) == (failing[0] if failing else b"".join(singles))
+    passing = np.array([i for i, r in enumerate(singles) if not isinstance(r, tuple)], dtype=int)
+    assert batch(passing) == b"".join(singles[i] for i in passing)
+
+
+class TestLockstep:
+    """Arrays of bounds or points advance together, each as if alone."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(*BETA_EXPONENTS, st.lists(st.tuples(UNIT_BOUND, UNIT_BOUND), min_size=1, max_size=6))
+    @example(-0.9, -0.9, [(0.0, 1.0), (0.5, 1.0), (0.2, 0.3)])
+    def test_array_bounds_give_each_scalar_integral_bitwise(self, a, b, pairs):
+        f = beta_expression(a, b)
+        lo = np.array([min(p) for p in pairs])
+        hi = np.array([max(p) for p in pairs])
+        _assert_batch_is_each_alone(lambda idx: _outcome(lambda: integrate(f, lo[idx], hi[idx])),
+                                    lambda i: _outcome(lambda: integrate(f, lo[i], hi[i])),
+                                    len(pairs))
+
+    @settings(max_examples=30, deadline=None)
+    @given(*BETA_EXPONENTS, UNIT_BOUND, st.lists(UNIT_BOUND, min_size=1, max_size=6))
+    @example(0.5, 0.5, 0.5, [0.0, 1e-9, 0.3, 1.0])
+    def test_antiderivative_points_are_each_point_alone(self, a, b, anchor, xs):
+        F = antiderivative(beta_expression(a, b), anchor)
+        xs = np.array(xs)
+        _assert_batch_is_each_alone(lambda idx: _outcome(lambda: F(xs[idx])),
+                                    lambda i: _outcome(lambda: F(xs[i])), len(xs))
+
+    @staticmethod
+    def failing_in_every_way(x):
+        # divergent at 0, NaN on (0.5, 0.55), finite but overflowing the panel sums above 0.75
+        return np.where(x < 0.25, 1.0 / (x * x), np.where(x > 0.75, 1e308, np.where(
+            (x > 0.5) & (x < 0.55), np.nan, 1.0)))
+
+    INTERVALS = [(0.0, 0.2), (0.8, 0.9), (0.5, 0.55), (math.nan, 0.3), (0.4, 0.3), (0.3, 0.45)]
+
+    def test_every_way_of_failing_is_seen_alone(self):
+        f = self.failing_in_every_way
+        with np.errstate(all="ignore"):
+            errors = [_outcome(lambda: integrate(f, lo, hi)) for lo, hi in self.INTERVALS]
+        assert [e[0] for e in errors[:5]] == [IntegrationError, IntegrationError, NumericsError,
+                                              NumericsError, NumericsError]
+        assert "did not converge" in errors[0][1] and "overflowed" in errors[1][1]
+        assert "non-finite value" in errors[2][1] and "bounds must be finite" in errors[3][1]
+        assert "a <= b" in errors[4][1] and isinstance(errors[5], bytes)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.permutations(range(6)), st.integers(1, 6))
+    def test_the_lowest_index_failure_is_raised(self, order, n):
+        f = self.failing_in_every_way
+        lo, hi = np.array([self.INTERVALS[i] for i in order[:n]]).T
+        with np.errstate(all="ignore"):
+            _assert_batch_is_each_alone(
+                lambda idx: _outcome(lambda: integrate(f, lo[idx], hi[idx])),
+                lambda i: _outcome(lambda: integrate(f, lo[i], hi[i])), n)
 
 
 class TestMinimizeScalar:

@@ -28,6 +28,7 @@ from cploss.proper import (
     zero_one_loss,
 )
 from cploss.weights import WeightFunction, catalog_weight, tabulated_weight
+from weight_strategies import BETA_EXPONENTS, beta_expression
 
 GRID = np.linspace(0.05, 0.95, 19)
 
@@ -340,11 +341,11 @@ def assert_weight_recovered(wf):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.floats(-0.9, 3.0), st.floats(-0.9, 3.0))
+@given(*BETA_EXPONENTS)
 @example(-0.9, -0.9)
 def test_weight_from_loss_recovers_beta_weights(a, b):
     # c^(a-1) (1-c)^(b-1) through quadrature partials, strong ends included
-    assert_weight_recovered(WeightFunction(w=compile_expression(f"c^({a - 1})*(1-c)^({b - 1})")))
+    assert_weight_recovered(WeightFunction(w=beta_expression(a, b)))
 
 
 @settings(max_examples=40, deadline=None)

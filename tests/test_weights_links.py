@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import assume, example, given, settings
 
 from cploss import weights
+from cploss.analysis import convexity_characterization
 from cploss.links import canonical_link, catalog_link, numeric_inverse, rho_of
 from cploss.numerics import finite_diff
 from cploss.weights import WeightFunction, catalog_weight, normalize_weight, tabulated_weight
+from weight_strategies import BETA_EXPONENTS, beta_expression
 
 GRID = np.linspace(0.05, 0.95, 19)
 CLOSED_FORM_WEIGHTS = ["square", "log", "boosting", "w1-over-c", "w1-over-1mc", "minimal"]
@@ -243,6 +247,38 @@ class TestCanonicalLink:
     def test_atoms_rejected(self):
         with pytest.raises(ValueError):
             canonical_link(catalog_weight("zero-one"))
+
+    @settings(max_examples=25, deadline=None)
+    @given(*BETA_EXPONENTS)
+    @example(-0.9, -0.9)
+    def test_beta_links_invert(self, a, b):
+        link = canonical_link(WeightFunction(w=beta_expression(a, b)))
+        xs = np.linspace(0.01, 0.99, 99)
+        assert np.max(np.abs(link.q(link.psi(xs)) - xs)) <= 1e-9
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "w'/w is a central difference of log w and psi''/psi' one of psi' over psi', both "
+        "with h = 1e-6: at the 1e-4 probes of the default grid they differ by about 3 for "
+        "c^-1.9 (1-c)^-1.9, past the bound 1/(1-x)"))
+    @settings(max_examples=25, deadline=None)
+    @given(*BETA_EXPONENTS)
+    @example(-0.9, -0.9)
+    def test_beta_canonical_composites_are_certified_convex(self, a, b):
+        wf = WeightFunction(w=beta_expression(a, b))
+        assert convexity_characterization(wf, canonical_link(wf)).convex
+
+    @settings(max_examples=25, deadline=None)
+    @given(*BETA_EXPONENTS)
+    @example(0.01, 0.01)
+    def test_beta_psi_is_the_incomplete_beta_integral(self, a, b):
+        # psi(x) = integral from 1/2 to x = B(a, b) (I_x(a, b) - I_{1/2}(a, b)); scipy
+        # needs a, b > 0, and loses B(a, b) eps to cancellation, so a, b >= 0.01
+        assume(min(a, b) >= 0.01)
+        xs = np.linspace(0.01, 0.99, 99)
+        psi = canonical_link(WeightFunction(w=beta_expression(a, b))).psi(xs)
+        want = scipy.special.beta(a, b) * (scipy.special.betainc(a, b, xs)
+                                           - scipy.special.betainc(a, b, 0.5))
+        assert np.all(np.abs(psi - want) <= 1e-8 * np.abs(want) + 1e-13)
 
     def test_rho_rejects_atoms(self):
         with pytest.raises(ValueError):
