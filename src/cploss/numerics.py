@@ -136,8 +136,8 @@ def _gk15(f: Callable, mid, half) -> tuple[list, dict]:
     """Gauss-Kronrod 7/15 panels of midpoints ``mid`` and half-widths ``half``.
 
     ``f`` is called once, on all nodes as one flat array.  Returns each
-    panel's ``(estimate, error)`` and ``{panel: NumericsError}`` naming the
-    first node of a panel where ``f`` is not finite.  The node sums are a
+    panel's ``(estimate, error)`` and ``{panel: message}`` naming the first
+    node of a panel where ``f`` is not finite.  The node sums are a
     fixed tree of elementwise additions, so they do not depend on the other
     panels.  The Kronrod weights are all positive, so a Kronrod sum is finite
     only if every value is; only then are a panel's values scanned, to name
@@ -161,8 +161,8 @@ def _gk15(f: Callable, mid, half) -> tuple[list, dict]:
     bad = {}
     if not math.isfinite(sum(k15)):   # a NaN or inf, or else an overflow
         for i in np.flatnonzero(~np.isfinite(ys).all(axis=0)).tolist():
-            bad[i] = NumericsError("integrand returned a non-finite value at "
-                                   f"x={xs[:, i][~np.isfinite(ys[:, i])][0]!r}")
+            node = xs[:, i][~np.isfinite(ys[:, i])][0]
+            bad[i] = f"integrand returned a non-finite value at x={node!r}"
     return list(zip(k15, err.tolist())), bad
 
 
@@ -310,8 +310,11 @@ def integrate(f: Callable, a, b, spec: QuadratureSpec = DEFAULT_QUADRATURE):
         for e, reply in zip(asks, replies):
             if e[0] > first:
                 break
+            if isinstance(reply, str):   # a new panel of this interval is not finite
+                first, error, e[2] = e[0], NumericsError(reply), None
+                continue
             try:
-                e[2] = e[1].throw(reply) if isinstance(reply, Exception) else e[1].send(reply)
+                e[2] = e[1].send(reply)
             except StopIteration as stop:
                 out[e[0]], e[2] = stop.value, None
             except NumericsError as exc:
@@ -330,7 +333,10 @@ def integrate(f: Callable, a, b, spec: QuadratureSpec = DEFAULT_QUADRATURE):
                 failed = [bad[r] for r in rows if r in bad] if bad else None
                 replies.append(failed[0] if failed else panels[rows.start:k])
     if error is not None:
-        raise error
+        try:
+            raise error
+        finally:   # the error's traceback holds this frame: drop the frame's hold on it
+            error = None
     return out[0] if a.ndim == 0 else np.array(out).reshape(a.shape)
 
 

@@ -206,8 +206,7 @@ def scanning_gk15(f, mid, half):
     xs = np.array(mid) + np.array(half) * numerics._NODES[:, None]
     ys = np.asarray(f(xs.ravel()), dtype=float)
     panels, _ = _gk15(lambda x: ys, mid, half)
-    bad = {i: NumericsError(f"integrand returned a non-finite value at "
-                            f"x={xs[:, i][~np.isfinite(col)][0]!r}")
+    bad = {i: f"integrand returned a non-finite value at x={xs[:, i][~np.isfinite(col)][0]!r}"
            for i, col in enumerate(ys.reshape(xs.shape).T) if not np.all(np.isfinite(col))}
     return panels, bad
 
