@@ -139,9 +139,9 @@ def _gk15(f: Callable, mid, half) -> tuple[list, dict]:
     panel's ``(estimate, error)`` and ``{panel: message}`` naming the first
     node of a panel where ``f`` is not finite.  The node sums are a
     fixed tree of elementwise additions, so they do not depend on the other
-    panels.  The Kronrod weights are all positive, so a Kronrod sum is finite
-    only if every value is; only then are a panel's values scanned, to name
-    the first bad node or to find an overflow, for :func:`integrate` to raise.
+    panels.  All Kronrod weights are positive, so a Kronrod sum is finite only
+    if every value is; a panel's values are scanned only when it is not, to
+    name the first bad node or find an overflow for :func:`integrate`.
     """
     half = np.array(half)
     xs = _NODES[:, None] * half + np.array(mid)    # node j of panel i at [j, i]
