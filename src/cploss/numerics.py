@@ -126,44 +126,40 @@ _GAUSS_W = np.zeros(15)
 _GAUSS_W[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])   # Gauss nodes sit at odd slots
 
 
-# The Kronrod and Gauss weights down the node axis, the middle node's halved:
-# the sums of :func:`_gk15` add that node twice.
+# The Kronrod and Gauss weights down the node axis, the middle node's halved: the tree adds it twice.
 _RULES = np.stack([_KRONROD_W, _GAUSS_W], axis=1)[:, :, None]
 _RULES[7] /= 2.0
 
 
-def _gk15(f: Callable, mid, half) -> tuple[list, dict]:
-    """Gauss-Kronrod 7/15 panels of midpoints ``mid`` and half-widths ``half``.
+def _gk15(f: Callable, panels: list) -> list:
+    """Gauss-Kronrod 7/15 panels, each given as its ``(midpoint, half-width)``.
 
-    ``f`` is called once, on all nodes as one flat array.  Returns each
-    panel's ``(estimate, error)`` and ``{panel: message}`` naming the first
-    node of a panel where ``f`` is not finite.  The node sums are a
-    fixed tree of elementwise additions, so they do not depend on the other
-    panels.  All Kronrod weights are positive, so a Kronrod sum is finite only
-    if every value is; a panel's values are scanned only when it is not, to
-    name the first bad node or find an overflow for :func:`integrate`.
+    ``f`` is called once, on all nodes.  Returns each panel's ``(estimate,
+    error)``, or in its place a message naming the panel's first node where
+    ``f`` is not finite.  The sums are a fixed tree of elementwise additions,
+    so they do not depend on the other panels.  All Kronrod weights are
+    positive, so a Kronrod sum is finite only if every value is: values are
+    scanned only when a sum is not, to name bad nodes or find an overflow.
     """
-    half = np.array(half)
-    xs = _NODES[:, None] * half + np.array(mid)    # node j of panel i at [j, i]
+    mid, half = np.array(panels).T
+    xs = _NODES[:, None] * half + mid    # node j of panel i at [j, i]
     ys = np.asarray(f(xs.ravel()), dtype=float)
     if ys.shape != (xs.size,):
         raise NumericsError("integrand must map an ndarray of points to an ndarray")
     ys = ys.reshape(xs.shape)
     with np.errstate(invalid="ignore", over="ignore"):   # inf - inf or inf * 0 on a bad panel
         p = _RULES * ys[:, None]
-        p = p[:8] + p[7:]
-        p = p[:4] + p[4:]
-        p = p[:2] + p[2:]
-        p = p[0] + p[1]
-        k15 = p[0] * half
-        err = np.abs(k15 - p[1] * half)
-    k15 = k15.tolist()
-    bad = {}
-    if not math.isfinite(sum(k15)):   # a NaN or inf, or else an overflow
+        for n in (8, 4, 2, 1):    # the first n terms plus the last n, down to one
+            p = p[:n] + p[-n:]
+        p = p[0] * half     # the Kronrod and Gauss estimates
+        np.abs(p[0] - p[1], out=p[1])
+    estimate, error = p.tolist()
+    panels = list(zip(estimate, error))
+    if not math.isfinite(sum(estimate)):   # a NaN or inf, or else an overflow
         for i in np.flatnonzero(~np.isfinite(ys).all(axis=0)).tolist():
-            node = xs[:, i][~np.isfinite(ys[:, i])][0]
-            bad[i] = f"integrand returned a non-finite value at x={node!r}"
-    return list(zip(k15, err.tolist())), bad
+            bad = xs[:, i][~np.isfinite(ys[:, i])][0]
+            panels[i] = f"integrand returned a non-finite value at x={bad!r}"
+    return panels
 
 
 # A panel narrower than this, relative to the size of its ends, is not split:
@@ -214,13 +210,9 @@ def _end_tail(sums: list[float]) -> float | None:
     return _epsilon(partial) - partial[-1]
 
 
-_ENDS = "ends"    # what the loop of an interval yields to ask whether f is finite at its ends
-
-
-def _adapt(a: float, b: float, spec: QuadratureSpec):
-    """The adaptive loop of :func:`integrate` on ``[a, b]``, as a coroutine that
-    yields the ``(mid, half)`` of the panels it needs (or ``_ENDS``) and is sent
-    their ``(estimate, error)`` (or whether ``f`` is not finite at ``a``, ``b``)."""
+def _adapt(f: Callable, a: float, b: float, spec: QuadratureSpec):
+    """The adaptive loop of :func:`integrate` on ``[a, b]``, as a coroutine that yields
+    the ``(midpoint, half-width)`` of the panels it needs and is sent their :func:`_gk15`."""
     if not (math.isfinite(a) and math.isfinite(b)):
         raise NumericsError("integration bounds must be finite")
     if a > b:
@@ -231,7 +223,7 @@ def _adapt(a: float, b: float, spec: QuadratureSpec):
     counter = itertools.count()
     heap = [(-total_err, next(counter), a, b, total_est, 0)]
     lo, hi = a, b
-    singular = None          # whether f is not finite at a and at b, once asked
+    singular = None          # whether f is not finite at a and at b, once probed
     sums = ([], [])          # the last halving-annulus sums next to a and to b
     while True:
         if not (math.isfinite(total_est) and math.isfinite(total_err)):
@@ -254,7 +246,8 @@ def _adapt(a: float, b: float, spec: QuadratureSpec):
             del sums[side][:-_ANNULI]
             if len(sums[side]) > 1:
                 if singular is None:
-                    singular = yield _ENDS
+                    with np.errstate(all="ignore"):
+                        singular = ~np.isfinite(np.asarray(f(np.array([a, b])), dtype=float))
                 tail = _end_tail(sums[side]) if singular[side] else None
                 if tail is not None:
                     halves[side] = (tail, abs(s + tail - est))
@@ -281,10 +274,9 @@ def integrate(f: Callable, a, b, spec: QuadratureSpec = DEFAULT_QUADRATURE):
     beyond it.
 
     Float bounds give a float; arrays of bounds, broadcast together, an array.
-    The intervals advance in lockstep passes: each unfinished one splits its
-    worst panel, and one call of ``f`` evaluates the new panels of all.  Each
-    keeps its own panels, ends and stopping rule, and its value does not
-    depend, bitwise, on the other intervals of the call.  Of failing
+    In each lockstep pass every unfinished interval splits its worst panel and
+    one call of ``f`` evaluates the new panels of all, so a value does not
+    depend, bitwise, on the other intervals of its call.  Of failing
     intervals, the error of the lowest-index one is raised.
 
     Raises
@@ -298,46 +290,27 @@ def integrate(f: Callable, a, b, spec: QuadratureSpec = DEFAULT_QUADRATURE):
         overflows on finite values; the exception carries the partial
         estimate.
     """
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        a, b = np.broadcast_arrays(a, b)
-    bounds = list(zip(a.ravel().tolist(), b.ravel().tolist()))
-    out = [0.0] * len(bounds)
-    first, error = len(bounds), None     # the lowest failing index, and its error
-    live = [[i, _adapt(lo, hi, spec), None] for i, (lo, hi) in enumerate(bounds)]
-    asks, replies = live, [None] * len(live)   # [index, loop, its request]; None starts it
+    pairs = np.broadcast(a, b)
+    asks = [(i, _adapt(f, float(lo), float(hi), spec), None) for i, (lo, hi) in enumerate(pairs)]
+    out, failed = [0.0] * len(asks), []    # failed: the error of the lowest failing index
     while asks:
-        for e, reply in zip(asks, replies):
-            if e[0] > first:
-                break
-            if isinstance(reply, str):   # a new panel of this interval is not finite
-                first, error, e[2] = e[0], NumericsError(reply), None
-                continue
+        live = []
+        for i, loop, reply in asks:    # a reply of None starts a loop
             try:
-                e[2] = e[1].send(reply)
+                bad = [r for r in reply or () if isinstance(r, str)]   # a non-finite new panel
+                if bad:
+                    raise NumericsError(bad[0])
+                live.append((i, loop, loop.send(reply)))
             except StopIteration as stop:
-                out[e[0]], e[2] = stop.value, None
-            except NumericsError as exc:
-                first, error, e[2] = e[0], exc, None
-        live = [e for e in live if e[2] is not None and e[0] < first]
-        asks = [e for e in live if e[2] is _ENDS]   # answered before the next panels
-        if asks:
-            with np.errstate(all="ignore"):
-                ys = np.asarray(f(np.array([bounds[e[0]] for e in asks]).ravel()), dtype=float)
-            replies = (~np.isfinite(ys)).reshape(-1, 2).tolist()
-        elif live:
-            panels, bad = _gk15(f, *zip(*[p for e in live for p in e[2]]))
-            asks, replies, k = live, [], 0
-            for e in live:
-                rows, k = range(k, k + len(e[2])), k + len(e[2])
-                failed = [bad[r] for r in rows if r in bad] if bad else None
-                replies.append(failed[0] if failed else panels[rows.start:k])
-    if error is not None:
-        try:
-            raise error
-        finally:   # the error's traceback holds this frame: drop the frame's hold on it
-            error = None
-    return out[0] if a.ndim == 0 else np.array(out).reshape(a.shape)
+                out[i] = stop.value
+            except NumericsError as exc:   # no later interval can fail first any more
+                failed[:] = [exc]
+                break
+        sums = iter(_gk15(f, [p for *_, ask in live for p in ask]) if live else ())
+        asks = [(i, loop, [next(sums) for _ in ask]) for i, loop, ask in live]
+    if failed:   # popped: an error held here would hold this frame through its traceback
+        raise failed.pop()
+    return out[0] if pairs.ndim == 0 else np.array(out).reshape(pairs.shape)
 
 
 def antiderivative(f: Callable, anchor: float) -> Callable:
@@ -345,10 +318,9 @@ def antiderivative(f: Callable, anchor: float) -> Callable:
 
     Below the anchor the value is ``-integral of f from x to anchor``, so the
     sign follows the orientation of the interval and the value at the anchor
-    itself is +0.0.  ``f`` must accept ndarrays (see :func:`integrate`).  All
-    points of one call are integrated by one lockstep :func:`integrate`, so a
-    point's value does not depend on the other points, and where points
-    fail, the error of the first is raised.
+    itself is +0.0.  ``f`` must accept ndarrays (see :func:`integrate`).  The
+    points of one call share one lockstep :func:`integrate`: a point's value
+    does not depend on the others, and the first failing point's error is raised.
     """
     anchor = float(anchor)
 

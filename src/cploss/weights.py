@@ -36,26 +36,29 @@ _CHECK_H = 1e-5
 _CHECK_QUADRATURE = QuadratureSpec(abs_tol=1e-8 * 2.0 * _CHECK_H, rel_tol=1e-8)
 
 
-def _check_mean(g: Callable, edges: list[float]) -> float:
-    """Mean of ``g`` from ``edges[0]`` to ``edges[-1]``, one array integral over
-    the pieces between the ascending ``edges``; NaN where quadrature fails."""
-    try:
-        total = float(np.sum(integrate(g, edges[:-1], edges[1:], _CHECK_QUADRATURE)))
-    except NumericsError:
-        return math.nan
-    return total / (edges[-1] - edges[0])
-
-
-def _simpson_means(F: Callable, edges: list[list[float]]) -> np.ndarray:
-    """Mean of ``F`` from ``es[0]`` to ``es[-1]`` for each ``es`` of ``edges``,
-    by Simpson's rule on every piece between consecutive edges, in one call
-    of ``F``: exact where ``F`` is quadratic on each piece."""
+def _means(integrals: Callable, edges: list[list[float]]) -> np.ndarray:
+    """Mean of a function from ``es[0]`` to ``es[-1]`` for each ``es`` of
+    ``edges``, from ``integrals(p, q)``, its integrals over the pieces ``[p,
+    q]`` between consecutive edges of all, in one call; NaN for each ``es``
+    where that raises :class:`NumericsError`, found one ``es`` at a time."""
     p = np.array([a for es in edges for a in es[:-1]])
     q = np.array([b for es in edges for b in es[1:]])
-    Fp, Fm, Fq = np.split(F(np.concatenate([p, 0.5 * (p + q), q])), 3)
     owner = np.repeat(np.arange(len(edges)), [len(es) - 1 for es in edges])
-    total = np.bincount(owner, (q - p) * (Fp + 4.0 * Fm + Fq) / 6.0)
+    try:
+        total = np.bincount(owner, integrals(p, q))
+    except NumericsError:
+        return np.array([math.nan] if len(edges) == 1 else
+                        [_means(integrals, [es])[0] for es in edges])
     return total / np.array([es[-1] - es[0] for es in edges])
+
+
+def _simpson(F: Callable) -> Callable:
+    """Integrals of ``F`` over pieces ``[p, q]`` by Simpson's rule, in one call
+    of ``F``: exact where ``F`` is quadratic on each piece."""
+    def integrals(p, q):
+        Fp, Fm, Fq = np.split(F(np.concatenate([p, 0.5 * (p + q), q])), 3)
+        return (q - p) * (Fp + 4.0 * Fm + Fq) / 6.0
+    return integrals
 
 
 @dataclass(frozen=True)
@@ -126,8 +129,7 @@ class WeightFunction:
         # quadratic W of a table.  w(x) would be off by h/4 times the jump in
         # w' at a knot on the grid, W(x) by h/4 times a jump in w there, and
         # quadrature across a knot misses a jump between its outermost node
-        # and x +- h.  w is integrated in t = c - x, in which the ends and
-        # the knots, all within h of x, are exact.
+        # and x +- h.  The pieces of all grid points take one array quadrature.
         if self.Wbar is not None and self.W is None:
             raise ValueError("Wbar supplied without W")
         if self.W is None:
@@ -135,10 +137,10 @@ class WeightFunction:
         x = _CHECK_GRID
         lo, hi = x - _CHECK_H, x + _CHECK_H
         edges = [[a, *sorted(k for k in self.knots if a < k < b), b] for a, b in zip(lo, hi)]
-        checks = [(self.W, [_check_mean(lambda t: self.w(x0 + t), [e - x0 for e in es])
-                            for x0, es in zip(x, edges)], "W inconsistent with w")]
+        quadrature = lambda p, q: integrate(self.w, p, q, _CHECK_QUADRATURE)
+        checks = [(self.W, _means(quadrature, edges), "W inconsistent with w")]
         if self.Wbar is not None:
-            checks.append((self.Wbar, _simpson_means(self.W, edges), "Wbar inconsistent with W"))
+            checks.append((self.Wbar, _means(_simpson(self.W), edges), "Wbar inconsistent with W"))
         for F, want, label in checks:
             got = (F(hi) - F(lo)) / (hi - lo)
             bad = ~(np.abs(got - want) <= 1e-6 * np.maximum(1.0, np.abs(want)))

@@ -182,10 +182,12 @@ class TestEndpoints:
         assert max(misses) <= 10
 
 
-def legacy_gk15(f, a, b):
-    """The panel as it was when every value was scanned for finiteness first."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
+def reference_gk15(f, mid, half):
+    """One panel, written apart from the library: every value is scanned for
+    finiteness first, then each rule's 15 weighted values are added as the
+    documented tree, node i with node i + 7 (so the middle node, its weight
+    halved, in two pairs) and then the first half of the sums with the second,
+    down to one sum."""
     xs = mid + half * numerics._NODES
     ys = np.asarray(f(xs), dtype=float)
     if ys.shape != xs.shape:
@@ -193,22 +195,31 @@ def legacy_gk15(f, a, b):
     if not np.all(np.isfinite(ys)):
         bad = xs[~np.isfinite(ys)][0]
         raise NumericsError(f"integrand returned a non-finite value at x={bad!r}")
-    k15 = half * float(numerics._KRONROD_W @ ys)
-    g7 = half * float(numerics._GAUSS_W @ ys)
+    k15, g7 = (half * _tree_sum(weights, ys) for weights in (numerics._KRONROD_W, numerics._GAUSS_W))
     return k15, abs(k15 - g7)
 
 
-_gk15 = numerics._gk15
+def _tree_sum(weights, ys):
+    weights = weights.tolist()
+    weights[7] /= 2.0
+    terms = [w * y for w, y in zip(weights, ys.tolist())]
+    terms = [terms[i] + terms[i + 7] for i in range(8)]
+    while len(terms) > 1:
+        terms = [x + y for x, y in zip(terms[:len(terms) // 2], terms[len(terms) // 2:])]
+    return terms[0]
 
 
-def scanning_gk15(f, mid, half):
-    """``numerics._gk15`` with every value of every panel scanned for finiteness first."""
-    xs = np.array(mid) + np.array(half) * numerics._NODES[:, None]
-    ys = np.asarray(f(xs.ravel()), dtype=float)
-    panels, _ = _gk15(lambda x: ys, mid, half)
-    bad = {i: f"integrand returned a non-finite value at x={xs[:, i][~np.isfinite(col)][0]!r}"
-           for i, col in enumerate(ys.reshape(xs.shape).T) if not np.all(np.isfinite(col))}
-    return panels, bad
+def reference_panels(f, panels):
+    """``numerics._gk15`` through :func:`reference_gk15`, one panel at a time."""
+    out = []
+    for mid, half in panels:
+        try:
+            out.append(reference_gk15(f, mid, half))
+        except NumericsError as err:
+            if "non-finite" not in str(err):
+                raise
+            out.append(str(err))
+    return out
 
 
 def ones_with(values):
@@ -238,7 +249,7 @@ class TestPanelFiniteness:
         with pytest.raises(NumericsError) as new:
             integrate(f, self.A, self.B)
         with pytest.raises(NumericsError) as old:
-            legacy_gk15(f, self.A, self.B)
+            reference_gk15(f, 0.5 * (self.A + self.B), 0.5 * (self.B - self.A))
         assert str(new.value) == str(old.value)
         assert str(new.value) == f"integrand returned a non-finite value at x={self.XS[node]!r}"
 
@@ -262,16 +273,10 @@ class TestPanelFiniteness:
     ], ids=["max", "min", "half"])
     @pytest.mark.parametrize("a,b", [(0.0, 2.0), (0.0, 1.0), (-1e300, 1e300)])
     def test_finite_panel_whose_sum_overflows_behaves_as_before(self, f, a, b):
-        # the same infinities, and the same finite sums up to their order of summation
+        panel = (0.5 * (a + b), 0.5 * (b - a))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            [panel], bad = numerics._gk15(f, [0.5 * (a + b)], [0.5 * (b - a)])
-            assert not bad
-            for new, old in zip(panel, legacy_gk15(f, a, b)):
-                if math.isfinite(old):
-                    assert new == pytest.approx(old, rel=1e-14, abs=1e-15)
-                else:
-                    assert repr(float(new)) == repr(old)
+            assert repr(numerics._gk15(f, [panel])) == repr([reference_gk15(f, *panel)])
 
     @pytest.mark.parametrize("f", [
         lambda x: np.full_like(x, 1e308),
@@ -329,7 +334,7 @@ def _integrals(f):
 def test_integrals_are_bitwise_those_of_the_per_value_scan(name, monkeypatch):
     f = _INTEGRANDS[name]
     new = _integrals(f)
-    monkeypatch.setattr(numerics, "_gk15", scanning_gk15)
+    monkeypatch.setattr(numerics, "_gk15", reference_panels)
     assert new == _integrals(f)
 
 
