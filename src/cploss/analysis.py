@@ -154,19 +154,13 @@ def check_proper(ell_pos: Callable, ell_neg: Callable, grid: Sequence[float],
     return proper, weight, max_resid
 
 
-def _log_weight_slope(wf: WeightFunction, xs: np.ndarray) -> np.ndarray:
-    if wf.w_prime is not None:
-        return wf.w_prime(xs) / wf.w(xs)
-    # derivative of log w by central differences: better conditioned when w
+def _log_slope(f: Callable, f_prime: Callable | None, xs: np.ndarray) -> np.ndarray:
+    """``f'/f`` at ``xs``: the closed form when ``f_prime`` is given."""
+    if f_prime is not None:
+        return f_prime(xs) / f(xs)
+    # derivative of log f by central differences: better conditioned when f
     # is small
-    return finite_diff(lambda t: np.log(wf.w(t)), xs, 1, h=1e-6)
-
-
-def _link_curvature_ratio(link: Link, xs: np.ndarray) -> np.ndarray:
-    dpsi = link.psi_prime(xs)
-    if link.psi_second is not None:
-        return link.psi_second(xs) / dpsi
-    return finite_diff(link.psi_prime, xs, 1, h=1e-6) / dpsi
+    return finite_diff(lambda t: np.log(f(t)), xs, 1, h=1e-6)
 
 
 def convexity_characterization(wf: WeightFunction, link: Link,
@@ -186,7 +180,9 @@ def convexity_characterization(wf: WeightFunction, link: Link,
     wvals = wf.w(xs)
     if np.any(wvals <= 0):
         raise StrictnessError("characterisation requires w > 0 on the grid")
-    mid = _log_weight_slope(wf, xs) - _link_curvature_ratio(link, xs)
+    # rho'/rho for rho = w / psi'.  Both factors are read the same way, so a
+    # canonical pair (psi' is w) gives exactly 0.
+    mid = _log_slope(wf.w, wf.w_prime, xs) - _log_slope(link.psi_prime, link.psi_second, xs)
     lower = -1.0 / xs
     upper = 1.0 / (1.0 - xs)
     slack_lo = tol * np.maximum(1.0, np.maximum(np.abs(mid), np.abs(lower)))

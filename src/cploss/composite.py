@@ -284,32 +284,22 @@ def zhang_margin(alpha: float) -> MarginLoss:
     )
 
 
-def duality_residual(W: Callable, x: float, y: float,
-                     W_inv: Callable | None = None,
-                     Wbar: Callable | None = None,
-                     dual_antideriv: Callable | None = None) -> float:
+def duality_residual(W: Callable, x: float, y: float) -> float:
     """Residual of the Bregman duality D_W(x, y) = D_{W^-1}(W(y), W(x)).
 
-    ``W`` must be strictly increasing on [0, 1].  Missing pieces are filled
-    numerically: the inverse by bisection, the antiderivative of ``W`` (the
-    divergence generator) and of ``W^-1`` (its Legendre dual) by quadrature
-    anchored at 1/2 and W(1/2).  Bregman divergences are invariant to the
-    anchoring constants.
+    ``W`` must be strictly increasing on (0, 1).  Its inverse is
+    :func:`~cploss.links.numeric_inverse` with the default end rule, and the
+    antiderivatives of ``W`` (the divergence generator) and of ``W^-1`` (its
+    Legendre dual) are quadratures anchored at 1/2 and W(1/2); Bregman
+    divergences are invariant to the anchoring constants.  ``W`` and each
+    antiderivative are evaluated once, on both points.
     """
-    W, W_inv, Wbar, dual_antideriv = map(array_fn, (W, W_inv, Wbar, dual_antideriv))
-    if W_inv is None:
-        # not the default 1 - 1e-15: a generator singular at 1 depends on 1 - c,
-        # which holds only about 9 ulps there, and no quadrature of it converges
-        W_inv = numeric_inverse(W, domain=(1e-12, 1.0 - 1e-12))
-    if Wbar is None:
-        Wbar = antiderivative(W, 0.5)
-    if dual_antideriv is None:
-        dual_antideriv = antiderivative(W_inv, float(W(0.5)))
-
-    x = float(x)
-    y = float(y)
-    Wx = float(W(x))
-    Wy = float(W(y))
-    lhs = float(Wbar(x)) - float(Wbar(y)) - (x - y) * Wy
-    rhs = float(dual_antideriv(Wy)) - float(dual_antideriv(Wx)) - (Wy - Wx) * float(W_inv(Wx))
-    return abs(lhs - rhs)
+    W = array_fn(W)
+    W_inv = numeric_inverse(W)
+    x, y = float(x), float(y)
+    Wx, Wy, W_half = W(np.array([x, y, 0.5]))
+    Gx, Gy = antiderivative(W, 0.5)(np.array([x, y]))
+    Hx, Hy = antiderivative(W_inv, float(W_half))(np.array([Wx, Wy]))
+    lhs = Gx - Gy - (x - y) * Wy
+    rhs = Hy - Hx - (Wy - Wx) * float(W_inv(Wx))
+    return float(abs(lhs - rhs))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -23,8 +23,7 @@ import numpy as np
 from .composite import _pointwise_risk
 from .numerics import (MinimizeResult, QuadratureSpec, array_fn, integrate, lambert_w0,
                        minimize_scalar)
-from .proper import ProperLoss, bayes_risk, catalog_loss, from_weight
-from .weights import catalog_weight
+from .proper import ProperLoss, bayes_risk, catalog_loss
 
 __all__ = [
     "Experiment",
@@ -149,22 +148,22 @@ def minimal_loss() -> ProperLoss:
 
     Partial losses are piecewise: linear on the half where the weight rides
     the 1/(2(1-c)) or 1/(2c) envelope and logarithmic on the other half.
-    The name ``minimal`` selects the closed form in :func:`regret_bound_rhs`.
+    Its Bayes-risk drop is the closed form of :func:`regret_bound_rhs`.
     """
-    return replace(from_weight(catalog_weight("minimal")), name="minimal")
+    return catalog_loss("minimal")
 
 
 def regret_bound_rhs(alpha_reg: float, loss: ProperLoss | None = None) -> float:
     """Bayes-risk drop between 1/2 and 1/2 + alpha: the regret lower bound.
 
-    For the minimal loss the closed form is
-    ``(alpha/2 + 1/4) log(2 alpha + 1) - alpha/2``; any other symmetric
+    Without ``loss`` this is the minimal loss's closed form
+    ``(alpha/2 + 1/4) log(2 alpha + 1) - alpha/2``; a given symmetric
     proper loss is evaluated through its Bayes risk.
     """
     a = float(alpha_reg)
     if not 0.0 <= a <= 0.5:
         raise ValueError("alpha_reg must lie in [0, 1/2]")
-    if loss is None or loss.name == "minimal":
+    if loss is None:
         return (a / 2.0 + 0.25) * math.log(2.0 * a + 1.0) - a / 2.0
     return bayes_risk(loss, 0.5) - bayes_risk(loss, 0.5 + a)
 

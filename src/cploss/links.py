@@ -74,10 +74,26 @@ def rho_of(wf: WeightFunction, link: Link) -> Callable:
 
 
 _NEWTON_STEPS = 12
+# Offsets from 0 and from 1, outermost first, tried as the ends of the domain
+# when none is given.
+_END_OFFSETS = (1e-12, 1e-9, 1e-6, 1e-4)
+
+
+def _end(psi: Callable, side: float) -> tuple[float, float]:
+    # the outermost offset from ``side`` where psi is finite and does not raise
+    for eps in _END_OFFSETS:
+        x = eps if side == 0.0 else 1.0 - eps
+        try:
+            val = float(psi(x))
+        except NumericsError:
+            continue
+        if np.isfinite(val):
+            return x, val
+    raise ValueError(f"psi not evaluable near {side:g}")
 
 
 def numeric_inverse(psi: Callable, tol: float = 1e-12,
-                    domain: tuple[float, float] = (1e-15, 1.0 - 1e-15),
+                    domain: tuple[float, float] | None = None,
                     dpsi: Callable | None = None) -> Callable:
     """Invert a strictly increasing map on ``domain``, array-wide.
 
@@ -99,15 +115,21 @@ def numeric_inverse(psi: Callable, tol: float = 1e-12,
     wrong derivative (zero, inf, nan, of the wrong sign or size) costs at
     most 12 evaluations over plain bisection and never loosens the result.
 
-    ``psi`` at the domain ends is evaluated once, here, and scores at or
-    beyond those values clamp to the domain ends.  ``psi``, ``dpsi`` and
-    the returned inverse keep the contract of
-    :func:`~cploss.numerics.array_fn`.
+    Without ``domain``, each end is the outermost of the offsets ``1e-12``,
+    ``1e-9``, ``1e-6`` and ``1e-4`` from 0 (and from 1) where ``psi`` gives a
+    finite value without raising :class:`~cploss.numerics.NumericsError`, as
+    quadrature up to a strong endpoint singularity may not; ``ValueError``
+    if there is none.  ``psi`` at the kept domain ends is evaluated once,
+    here, and scores at or beyond those values clamp to the domain ends, so
+    ``q(-inf)`` and ``q(inf)`` are the ends.  ``psi``, ``dpsi`` and the
+    returned inverse keep the contract of :func:`~cploss.numerics.array_fn`.
     """
     psi, dpsi = array_fn(psi), array_fn(dpsi)
-    lo0, hi0 = domain
-    flo = float(psi(lo0))
-    fhi = float(psi(hi0))
+    if domain is None:
+        (lo0, flo), (hi0, fhi) = _end(psi, 0.0), _end(psi, 1.0)
+    else:
+        lo0, hi0 = domain
+        flo, fhi = float(psi(lo0)), float(psi(hi0))
 
     def q(v):
         out = np.where(v <= flo, lo0, hi0).ravel()
@@ -223,37 +245,22 @@ def canonical_link(wf: WeightFunction) -> Link:
     the weight's own ``W`` when it has one (the catalog weights, and the
     exact piecewise-quadratic ``W`` of a table), else
     ``antiderivative(w, 1/2)``, all points in one lockstep quadrature; the
-    weight is neither rebuilt nor checked again.  Where ``psi`` cannot be
-    evaluated at ``1e-12`` (or ``1 - 1e-12``), as quadrature up to a strong
-    endpoint singularity may not be, the nearest of the offsets ``1e-9``,
-    ``1e-6`` and ``1e-4`` that gives a finite value ends the domain of ``q``
-    and the score range.
+    weight is neither rebuilt nor checked again.  The domain of ``q`` is the
+    end rule of :func:`numeric_inverse`, and the score range is ``psi`` at
+    its two ends.
     """
     if wf.has_atoms:
         raise ValueError("canonical link is undefined for weights with atoms")
     W = wf.W if wf.W is not None else array_fn(antiderivative(wf.w, 0.5))
     W_half = float(W(0.5))
     psi = lambda x: W(x) - W_half
-
-    def probe(side: float) -> tuple[float, float]:
-        for eps in (1e-12, 1e-9, 1e-6, 1e-4):
-            x = eps if side == 0.0 else 1.0 - eps
-            try:
-                val = float(psi(x))
-            except NumericsError:
-                continue
-            if np.isfinite(val):
-                return x, val
-        raise ValueError(f"canonical link of {wf.name!r}: psi not evaluable near {side}")
-
-    x_lo, v_lo = probe(0.0)
-    x_hi, v_hi = probe(1.0)
-    q = numeric_inverse(psi, domain=(x_lo, x_hi), dpsi=wf.w)
+    q = numeric_inverse(psi, dpsi=wf.w)
+    v_lo, v_hi = psi(q(np.array([-np.inf, np.inf])))
     return Link(
         psi=psi,
         psi_prime=wf.w,
         psi_second=wf.w_prime,
         q=q,
-        range=(v_lo, v_hi),
+        range=(float(v_lo), float(v_hi)),
         name=f"canonical({wf.name})",
     )

@@ -7,8 +7,7 @@ import pytest
 
 from cploss.analysis import (
     StrictnessError,
-    _link_curvature_ratio,
-    _log_weight_slope,
+    _log_slope,
     allowable_region,
     calibration_cc,
     calibration_composite,
@@ -18,6 +17,7 @@ from cploss.analysis import (
     convexity_oracle,
 )
 from cploss.composite import composite_from_margin, logistic_margin, make_composite
+from cploss.expressions import compile_expression
 from cploss.links import canonical_link, catalog_link
 from cploss.proper import catalog_loss, cost_loss, from_weight, zero_one_loss
 from cploss.weights import WeightFunction, catalog_weight, tabulated_weight
@@ -98,6 +98,19 @@ class TestConvexityCharacterization:
         report = convexity_characterization(wf, canonical_link(wf))
         assert report.convex, wname
 
+    @pytest.mark.parametrize("lname", ["square-link", "cosine"])
+    def test_expression_weight_reads_the_closed_form_link_curvature(self, lname):
+        # w = 1 with psi = x^2 meets the lower bound -1/x with equality: only the
+        # link's own psi''/psi' reads it without a difference quotient's error
+        wf = WeightFunction(w=compile_expression("1"))
+        assert convexity_characterization(wf, catalog_link(lname)).convex
+
+    def test_log_weight_with_the_logistic_margin_link_is_convex(self):
+        # the margin link is the logit, the canonical link of log loss; its
+        # psi' is itself a difference quotient, read here like the weight
+        link = composite_from_margin(logistic_margin()).link
+        assert convexity_characterization(catalog_weight("log"), link).convex
+
     def test_atom_weight_rejected(self):
         with pytest.raises(StrictnessError):
             convexity_characterization(catalog_weight("zero-one"), catalog_link("identity"))
@@ -143,7 +156,8 @@ class TestConvexityOracle:
 
 def _loop_characterization(wf, link, xs, tol=1e-9):
     """Reference: the violations of the characterisation, one grid point at a time."""
-    mid = _log_weight_slope(wf, xs) - _link_curvature_ratio(link, xs)
+    mid = (_log_slope(wf.w, wf.w_prime, xs)
+           - _log_slope(link.psi_prime, link.psi_second, xs))
     lower, upper = -1.0 / xs, 1.0 / (1.0 - xs)
     out = []
     for i, x in enumerate(xs):

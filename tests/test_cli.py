@@ -222,6 +222,13 @@ class TestCheckConvexity:
                                 "--grid-size", "99"])
         assert doc["convex"] is True
 
+    def test_unbounded_expression_with_its_canonical_link_is_convex(self, runner):
+        # rho = w / psi' is one, so rho'/rho is 0 even at the 1e-4 probes
+        doc = run_json(runner, ["check-convexity", "--loss",
+                                '{"weight":{"expr":"c^-1.9*(1-c)^-1.9"},"link":{"name":"canonical"}}'])
+        assert doc["convex"] is True
+        assert doc["violations"] == []
+
     def test_atom_weight_is_usage_error(self, runner):
         result = runner.invoke(main, ["check-convexity", "--loss",
                                       '{"weight":{"name":"zero-one"}}'])

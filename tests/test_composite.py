@@ -24,7 +24,8 @@ from cploss.composite import (
 from cploss.links import catalog_link, canonical_link
 from cploss.numerics import finite_diff
 from cploss.proper import catalog_loss, cost_loss, regret
-from cploss.weights import catalog_weight
+from cploss.weights import WeightFunction, catalog_weight
+from weight_strategies import beta_expression
 
 ETA_GRID = np.linspace(0.02, 0.98, 49)
 
@@ -275,14 +276,12 @@ class TestDuality:
         assert duality_residual(lambda t: np.asarray(t, dtype=float), 0.3, 0.6) <= 1e-12
         assert duality_residual(lambda t: np.asarray(t, dtype=float), 0.5, 0.5) == pytest.approx(0.0, abs=1e-15)
 
-    def test_identity_both_sides_are_half_squared_distance(self):
-        # with W = id the generator is t^2/2 and both divergences equal
-        # (x-y)^2/2; check through the closed-form pieces
-        res = duality_residual(lambda t: np.asarray(t, dtype=float), 0.2, 0.9,
-                               W_inv=lambda u: np.asarray(u, dtype=float),
-                               Wbar=lambda t: np.asarray(t, dtype=float) ** 2 / 2,
-                               dual_antideriv=lambda u: np.asarray(u, dtype=float) ** 2 / 2)
-        assert res == pytest.approx(0.0, abs=1e-15)
+    @pytest.mark.parametrize("a,b", [(0.0, 0.0), (-0.5, -0.5)])
+    @pytest.mark.parametrize("x,y", [(0.3, 0.6), (0.0898, 0.7078), (0.8828, 0.3413)])
+    def test_unbounded_canonical_generator(self, a, b, x, y):
+        # psi is unbounded at both ends, and its quadrature cannot reach 1 - 1e-12
+        psi = canonical_link(WeightFunction(w=beta_expression(a, b))).psi
+        assert duality_residual(psi, x, y) <= 1e-8
 
     def test_logit_generator_on_grid(self):
         W = lambda t: np.log(np.asarray(t, dtype=float) / (1 - np.asarray(t, dtype=float)))

@@ -1,6 +1,7 @@
 """Full risks over the unit interval, the surrogate study, the regret bound."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -182,6 +183,16 @@ class TestRegretBound:
 
     def test_generic_square_loss(self):
         assert regret_bound_rhs(0.2, catalog_loss("square")) == pytest.approx(0.02)
+
+    def test_a_given_loss_goes_through_its_bayes_risk_whatever_its_name(self):
+        log = catalog_loss("log")
+        want = bayes_risk(log, 0.5) - bayes_risk(log, 0.7)
+        assert regret_bound_rhs(0.2, replace(log, name="minimal")) == want
+
+    def test_minimal_loss_bayes_risk_matches_the_closed_form(self):
+        for a in (0.05, 0.2, 0.37, 0.5):
+            assert regret_bound_rhs(a, minimal_loss()) == pytest.approx(
+                regret_bound_rhs(a), abs=1e-15)
 
     def test_invert_at_quarter(self):
         assert regret_bound_invert(0.25) == pytest.approx((math.e - 1) / 2)
