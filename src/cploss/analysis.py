@@ -125,30 +125,28 @@ def write_csv(file, header: Sequence[str], *columns) -> None:
         writer.writerow([f"{x:.17g}" for x in row])
 
 
-def certification_grid(n: int = 999,
-                       boundary: Sequence[float] = (1e-3, 1e-4)) -> np.ndarray:
-    """n interior points i/(n+1) plus extra probes near both endpoints."""
+def certification_grid(n: int = 999) -> np.ndarray:
+    """n interior points i/(n+1) plus probes at 1e-3 and 1e-4 from both endpoints."""
     core = np.arange(1, n + 1) / (n + 1.0)
-    extra = np.concatenate([np.asarray(boundary, dtype=float),
-                            1.0 - np.asarray(boundary, dtype=float)])
-    return np.unique(np.concatenate([core, extra]))
+    return np.unique(np.concatenate([core, [1e-3, 1e-4, 1.0 - 1e-3, 1.0 - 1e-4]]))
 
 
-def check_proper(ell_pos: Callable, ell_neg: Callable, grid: Sequence[float],
-                 tol: float = 1e-3) -> tuple[bool, WeightFunction, float]:
+def check_proper(ell_pos: Callable, ell_neg: Callable,
+                 grid: Sequence[float]) -> tuple[bool, WeightFunction, float]:
     """Test a pair of partial losses for properness.
 
     A differentiable pair is proper exactly when the two slope ratios
     ``-ell_pos'(x)/(1-x)`` and ``ell_neg'(x)/x`` agree and are nonnegative;
     their common value is the weight.  Returns ``(proper, weight_estimate,
     max_residual)`` where the estimate averages the two ratios and the
-    residual is the largest normalised disagreement.  Raises ``ValueError``
-    naming the first grid point where a ratio is not finite.
+    residual is the largest normalised disagreement; proper means it is at
+    most 1e-3.  Raises ``ValueError`` naming the first grid point where a
+    ratio is not finite.
     """
     r_pos, r_neg = _weight_readings(ell_pos, ell_neg, grid)
     scale = np.maximum(1.0, np.maximum(np.abs(r_pos), np.abs(r_neg)))
     max_resid = float(np.max(np.abs(r_pos - r_neg) / scale))
-    proper = bool(max_resid <= tol and np.all(np.minimum(r_pos, r_neg) >= -tol * scale))
+    proper = bool(max_resid <= 1e-3 and np.all(np.minimum(r_pos, r_neg) >= -1e-3 * scale))
     est = np.maximum(0.5 * (r_pos + r_neg), 0.0)
     weight = tabulated_weight(np.column_stack([grid, est]), name="slope-ratio-estimate")
     return proper, weight, max_resid
@@ -187,14 +185,11 @@ def convexity_characterization(wf: WeightFunction, link: Link,
     upper = 1.0 / (1.0 - xs)
     slack_lo = tol * np.maximum(1.0, np.maximum(np.abs(mid), np.abs(lower)))
     slack_hi = tol * np.maximum(1.0, np.maximum(np.abs(mid), np.abs(upper)))
-    lo_i = np.nonzero(mid < lower - slack_lo)[0]
-    hi_i = np.nonzero(mid > upper + slack_hi)[0]
-    # grid order, "lower" before "upper" at a shared point
-    order = np.argsort(np.concatenate([lo_i, hi_i]), kind="stable")
-    i = np.concatenate([lo_i, hi_i])[order]
-    sides = np.repeat(["lower", "upper"], [lo_i.size, hi_i.size])[order]
-    rhs = np.concatenate([lower[lo_i], upper[hi_i]])[order]
-    violations = list(zip(xs[i].tolist(), sides.tolist(), mid[i].tolist(), rhs.tolist()))
+    violations = []
+    for i, side, rhs in ((np.nonzero(mid < lower - slack_lo)[0], "lower", lower),
+                         (np.nonzero(mid > upper + slack_hi)[0], "upper", upper)):
+        violations += zip(xs[i].tolist(), [side] * i.size, mid[i].tolist(), rhs[i].tolist())
+    violations.sort()
     return ConvexityReport(convex=not violations, violations=tuple(violations),
                            method="characterization", grid_size=len(xs), tolerance=tol)
 

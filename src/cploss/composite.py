@@ -41,19 +41,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CompositeLoss:
-    """A proper loss paired with a link, evaluable at raw scores.
-
-    ``rho`` is the link-adjusted weight ``w / psi'`` as a callable, or None
-    when the weight has atoms; it is held under the contract of
-    :func:`~cploss.numerics.array_fn`.
-    """
+    """A proper loss paired with a link, evaluable at raw scores."""
 
     base: ProperLoss
     link: Link
-    rho: Callable | None
 
-    def __post_init__(self):
-        object.__setattr__(self, "rho", array_fn(self.rho))
+    @property
+    def rho(self) -> Callable:
+        """The link-adjusted weight ``w / psi'`` of :func:`~cploss.links.rho_of`,
+        under the contract of :func:`~cploss.numerics.array_fn`; ``ValueError``
+        when the weight has atoms."""
+        return array_fn(rho_of(self.base.weight, self.link))
 
     @property
     def name(self) -> str:
@@ -72,13 +70,6 @@ class CompositeLoss:
             return self.ell_neg_v(v)
         raise ValueError(f"label must be +1 or -1, got {y!r}")
 
-    def require_rho(self) -> Callable:
-        if self.rho is None:
-            raise ValueError(
-                f"{self.name}: rho is unavailable (weight has atoms); "
-                "gradient and convexity operations need a density weight")
-        return self.rho
-
 
 @dataclass(frozen=True)
 class MarginLoss:
@@ -89,34 +80,26 @@ class MarginLoss:
     """
 
     phi: Callable
-    phi_prime: Callable | None = None
+    phi_prime: Callable
     name: str = "margin"
 
     def __post_init__(self):
         object.__setattr__(self, "phi", array_fn(self.phi))
         object.__setattr__(self, "phi_prime", array_fn(self.phi_prime))
 
-    def dphi(self, v):
-        if self.phi_prime is not None:
-            return self.phi_prime(v)
-        return finite_diff(self.phi, v, 1)
-
 
 def make_composite(base: ProperLoss, link: Link) -> CompositeLoss:
     """Pair a proper loss with a link.
 
-    The intrinsic weight ``rho = w / psi'`` is attached when the loss's
-    weight is a density; for atom weights the composite is still evaluable
-    but rho-dependent operations raise.
+    For atom weights the composite is still evaluable, but its ``rho`` and
+    the operations that need it raise.
     """
-    rho = None if base.weight.has_atoms else rho_of(base.weight, link)
-    return CompositeLoss(base=base, link=link, rho=rho)
+    return CompositeLoss(base=base, link=link)
 
 
 def composite_conditional_risk(cl: CompositeLoss, eta: float, v: float):
     """Expected composite loss at score ``v``: the base risk at q(v)."""
-    vs = np.asarray(v, dtype=float)
-    if not np.all((cl.link.range[0] - 1e-9 <= vs) & (vs <= cl.link.range[1] + 1e-9)):
+    if not cl.link.contains(v):
         raise ValueError(f"score {v!r} outside link range {cl.link.range}")
     return conditional_risk(cl.base, eta, cl.link.q(v))
 
@@ -134,7 +117,7 @@ def score_gradients(cl: CompositeLoss, v: float) -> tuple[float, float]:
     Returns ``(d_pos, d_neg) = ((q(v)-1)*rho(q(v)), q(v)*rho(q(v)))``, the
     per-example gradient updates for positive and negative labels.
     """
-    rho = cl.require_rho()
+    rho = cl.rho
     etahat = float(cl.link.q(v))
     r = float(rho(etahat))
     return ((etahat - 1.0) * r, etahat * r)
@@ -209,11 +192,11 @@ def margin_to_link(m: MarginLoss,
     link stops being invertible there.
     """
     probe = np.linspace(v_range[0], v_range[1], 257)
-    dvals = m.dphi(probe)
+    dvals = m.phi_prime(probe)
     if np.any(dvals == 0.0):
         warnings.warn(f"{m.name}: phi' vanishes on the probe range; "
                       "link may be non-unique", RuntimeWarning)
-    return _gap_link(m.dphi, lambda v: -m.dphi(-v), v_range, f"link({m.name})")
+    return _gap_link(m.phi_prime, lambda v: -m.phi_prime(-v), v_range, f"link({m.name})")
 
 
 def composite_from_margin(m: MarginLoss,
@@ -224,11 +207,8 @@ def composite_from_margin(m: MarginLoss,
     ``rho * psi'`` with ``rho(etahat) = -phi'(-psi(etahat)) / etahat``.
     """
     link = margin_to_link(m, v_range)
-
-    def rho_fn(e):
-        return -m.dphi(-link.psi(e)) / e
-
-    weight = WeightFunction(w=lambda e: rho_fn(e) * link.psi_prime(e), name=f"weight({m.name})")
+    weight = WeightFunction(w=lambda e: -m.phi_prime(-link.psi(e)) / e * link.psi_prime(e),
+                            name=f"weight({m.name})")
     base = ProperLoss(
         ell_pos=lambda e: m.phi(link.psi(e)),
         ell_neg=lambda e: m.phi(-link.psi(e)),
@@ -237,7 +217,7 @@ def composite_from_margin(m: MarginLoss,
         strictly_proper=True,
         name=f"proper({m.name})",
     )
-    return CompositeLoss(base=base, link=link, rho=rho_fn)
+    return CompositeLoss(base=base, link=link)
 
 
 def exponential_margin() -> MarginLoss:

@@ -43,7 +43,7 @@ __all__ = [
     "REFERENCE_ZERO_ONE_RISKS",
 ]
 
-_RISK_QUAD = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, max_depth=60)
+_RISK_QUAD = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
 
 
 @dataclass(frozen=True)
@@ -67,9 +67,8 @@ class Experiment:
 class LinearHypothesisClass:
     """Hypotheses h_alpha(x) = alpha * x with alpha in [0, 1]."""
 
-    alpha_range: tuple[float, float] = (0.0, 1.0)
-
-    def hypothesis(self, alpha: float) -> Callable:
+    @staticmethod
+    def hypothesis(alpha: float) -> Callable:
         return lambda x: alpha * np.asarray(x, dtype=float)
 
 
@@ -81,27 +80,22 @@ def affine_experiment() -> Experiment:
     return Experiment(eta=lambda x: 1.0 / 3.0 + x / 3.0, name="eta2")
 
 
-def full_risk(exp: Experiment, loss, h: Callable,
-              spec: QuadratureSpec = _RISK_QUAD) -> float:
-    """Marginal average of the conditional risk of predictor ``h``."""
+def full_risk(exp: Experiment, loss, h: Callable) -> float:
+    """Marginal average of the conditional risk of predictor ``h``, to 1e-12."""
 
     def integrand(xs):
         return _pointwise_risk(loss, exp.eta(xs), h(xs))
 
-    return integrate(integrand, 0.0, 1.0, spec)
+    return integrate(integrand, 0.0, 1.0, _RISK_QUAD)
 
 
-def constrained_bayes(exp: Experiment, loss,
-                      family: LinearHypothesisClass | None = None,
-                      tol: float = 1e-10) -> MinimizeResult:
+def constrained_bayes(exp: Experiment, loss, tol: float = 1e-10) -> MinimizeResult:
     """Minimise the full risk over the linear class, boundary-aware."""
-    family = family or LinearHypothesisClass()
-    lo, hi = family.alpha_range
 
     def objective(alpha: float) -> float:
-        return full_risk(exp, loss, family.hypothesis(alpha))
+        return full_risk(exp, loss, LinearHypothesisClass.hypothesis(alpha))
 
-    return minimize_scalar(objective, lo, hi, tol=tol)
+    return minimize_scalar(objective, 0.0, 1.0, tol=tol)
 
 
 def zero_one_linear_risk(exp: Experiment, alpha: float) -> float:
@@ -118,8 +112,7 @@ def zero_one_linear_risk(exp: Experiment, alpha: float) -> float:
     return neg_side + pos_side
 
 
-def surrogate_penalty(exp: Experiment, ref_loss, surrogate,
-                      family: LinearHypothesisClass | None = None) -> float:
+def surrogate_penalty(exp: Experiment, ref_loss, surrogate) -> float:
     """Reference risk of the hypothesis that minimises the surrogate risk.
 
     ``ref_loss`` is either an evaluable CPE/composite loss (scored through
@@ -127,20 +120,19 @@ def surrogate_penalty(exp: Experiment, ref_loss, surrogate,
     :func:`zero_one_linear_risk`.  The surrogate minimiser is assumed unique;
     a flat objective (near-minimal spread beyond 1e-4) triggers a warning.
     """
-    family = family or LinearHypothesisClass()
-    res = constrained_bayes(exp, surrogate, family)
+    res = constrained_bayes(exp, surrogate)
     a = res.argmin
-    lo, hi = family.alpha_range
     spread_tol = 1e-9 * (1.0 + abs(res.min_value))
-    for probe in (max(lo, a - 1e-4), min(hi, a + 1e-4)):
+    for probe in (max(0.0, a - 1e-4), min(1.0, a + 1e-4)):
         if probe != a:
-            if full_risk(exp, surrogate, family.hypothesis(probe)) <= res.min_value + spread_tol:
+            h = LinearHypothesisClass.hypothesis(probe)
+            if full_risk(exp, surrogate, h) <= res.min_value + spread_tol:
                 warnings.warn("surrogate objective is flat near its minimiser; "
                               "the constrained minimiser may not be unique", RuntimeWarning)
                 break
     if callable(ref_loss) and not hasattr(ref_loss, "ell_pos"):
         return ref_loss(exp, a)
-    return full_risk(exp, ref_loss, family.hypothesis(a))
+    return full_risk(exp, ref_loss, LinearHypothesisClass.hypothesis(a))
 
 
 def minimal_loss() -> ProperLoss:
@@ -231,11 +223,10 @@ def run_surrogate_experiment() -> dict:
     t0 = time.perf_counter()
     experiments = {1: quadratic_experiment(), 2: affine_experiment()}
     surrogates = {1: catalog_loss("w1-over-c"), 2: catalog_loss("w1-over-1mc")}
-    family = LinearHypothesisClass()
     cells: dict[tuple[int, int], SurrogateReport] = {}
     for j, exp in experiments.items():
         for i, loss in surrogates.items():
-            res = constrained_bayes(exp, loss, family)
+            res = constrained_bayes(exp, loss)
             cells[(i, j)] = SurrogateReport(
                 surrogate=i,
                 experiment=j,

@@ -58,9 +58,11 @@ class Link:
         if not np.allclose(round_trip, _GRID, atol=1e-9, rtol=0):
             raise ValueError(f"link {self.name!r}: q(psi(x)) != x on the check grid")
 
-    def contains(self, v: float, tol: float = 1e-9) -> bool:
+    def contains(self, v) -> bool:
+        """Whether every score of ``v`` lies in the range, to within 1e-9."""
         lo, hi = self.range
-        return (lo - tol) <= v <= (hi + tol)
+        v = np.asarray(v, dtype=float)
+        return bool(np.all((lo - 1e-9 <= v) & (v <= hi + 1e-9)))
 
 
 def rho_of(wf: WeightFunction, link: Link) -> Callable:

@@ -53,21 +53,17 @@ class IntegrationError(NumericsError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Error targets and depth limit of :func:`integrate`: it returns once its
-    summed error estimate is at most ``max(abs_tol, rel_tol * |estimate|)``
-    and raises :class:`IntegrationError` at ``max_depth`` bisections."""
+    """Error targets of :func:`integrate`: it returns once its summed error
+    estimate is at most ``max(abs_tol, rel_tol * |estimate|)``."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
-    max_depth: int = 60
 
     def __post_init__(self):
         if not self.abs_tol > 0:
             raise ValueError("abs_tol must be positive")
         if not self.rel_tol > 0:
             raise ValueError("rel_tol must be positive")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be at least 1")
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
@@ -170,6 +166,9 @@ _NARROW = 1e3 * np.finfo(float).eps
 # The number of halving-annulus sums an end tail is extrapolated from.
 _ANNULI = 12
 
+# The bisection depth at which :func:`integrate` gives up on a panel.
+_MAX_DEPTH = 60
+
 
 def _epsilon(xs: list[float]) -> float:
     """The limit of the sequence ``xs`` by Wynn's epsilon algorithm.
@@ -233,7 +232,7 @@ def _adapt(f: Callable, a: float, b: float, spec: QuadratureSpec):
         if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total_est)):
             return total_est
         neg_err, _, lo, hi, est, depth = heapq.heappop(heap)
-        if depth >= spec.max_depth or hi - lo <= _NARROW * max(abs(lo), abs(hi)):
+        if depth >= _MAX_DEPTH or hi - lo <= _NARROW * max(abs(lo), abs(hi)):
             raise IntegrationError(f"quadrature did not converge on [{lo!r}, {hi!r}] "
                                    f"(depth {depth}, width {hi - lo:.3g})", estimate=total_est)
         mid = 0.5 * (lo + hi)
@@ -285,10 +284,9 @@ def integrate(f: Callable, a, b, spec: QuadratureSpec = DEFAULT_QUADRATURE):
         If the integrand returns NaN/inf at an interior node or the bounds
         are invalid.
     IntegrationError
-        If the panel to split is ``spec.max_depth`` bisections deep or too
-        narrow to split in floating point, or a panel's estimate or error
-        overflows on finite values; the exception carries the partial
-        estimate.
+        If the panel to split is 60 bisections deep or too narrow to split
+        in floating point, or a panel's estimate or error overflows on
+        finite values; the exception carries the partial estimate.
     """
     pairs = np.broadcast(a, b)
     asks = [(i, _adapt(f, float(lo), float(hi), spec), None) for i, (lo, hi) in enumerate(pairs)]
@@ -333,17 +331,20 @@ def antiderivative(f: Callable, anchor: float) -> Callable:
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# The most golden or parabolic steps :func:`minimize_scalar` takes.
+_MAX_ITER = 500
 
 
 def minimize_scalar(f: Callable[[float], float], lo: float, hi: float,
-                    tol: float = 1e-9, max_iter: int = 500) -> MinimizeResult:
+                    tol: float = 1e-9) -> MinimizeResult:
     """Minimise ``f`` on ``[lo, hi]`` by golden-section search with parabolic steps.
 
     For a unimodal objective the returned argmin is within ``tol`` (absolute)
-    of the minimiser.  The bracket endpoints are compared explicitly, so
-    boundary minima are returned exactly (``argmin == lo`` or ``argmin ==
-    hi``); when the objective cannot distinguish the endpoint from the final
-    interior iterate, the endpoint is preferred.
+    of the minimiser; ``converged`` is False if 500 steps did not get there.
+    The bracket endpoints are compared explicitly, so boundary minima are
+    returned exactly (``argmin == lo`` or ``argmin == hi``); when the
+    objective cannot distinguish the endpoint from the final interior
+    iterate, the endpoint is preferred.
 
     Like every derivative-free minimiser, the achievable argument resolution
     is bounded below by sqrt(eps * |f| / f''); ``tol`` below that limit is
@@ -364,7 +365,7 @@ def minimize_scalar(f: Callable[[float], float], lo: float, hi: float,
     d = e = 0.0
     iterations = 1
     converged = False
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         m = 0.5 * (a + b)
         tol1 = 0.25 * tol + 1e-15 * abs(x)
         tol2 = 2.0 * tol1

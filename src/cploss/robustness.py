@@ -84,20 +84,16 @@ def noisy_loss(cl, alpha: float) -> NoisyLoss:
     return NoisyLoss(base=cl, alpha=_check_alpha(alpha))
 
 
-def minimizer_set(loss, eta: float, grid: Sequence[float],
-                  slack: float | None = None) -> np.ndarray:
-    """Grid points whose conditional risk is within ``slack`` of the minimum.
+def minimizer_set(loss, eta: float, grid: Sequence[float]) -> np.ndarray:
+    """Grid points whose conditional risk is within 1e-12 (1 + |min|) of the minimum.
 
-    ``slack=None`` uses 1e-12 (1 + |min|), tight enough that the exact
-    plateaus of piecewise-constant losses are recovered while smooth
-    strictly proper losses give a near-singleton.
+    That is tight enough that the exact plateaus of piecewise-constant losses
+    are recovered while smooth strictly proper losses give a near-singleton.
     """
     grid = np.asarray(grid, dtype=float)
     risks = _pointwise_risk(loss, float(eta), grid)
     m = float(np.min(risks))
-    if slack is None:
-        slack = 1e-12 * (1.0 + abs(m))
-    return grid[risks <= m + slack]
+    return grid[risks <= m + 1e-12 * (1.0 + abs(m))]
 
 
 @dataclass(frozen=True)

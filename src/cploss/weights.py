@@ -156,11 +156,11 @@ class WeightFunction:
         """True when the continuous part vanishes identically (probed on a grid)."""
         return self.has_atoms and bool(np.all(np.abs(self.w(_CHECK_GRID)) < 1e-300))
 
-    def is_symmetric(self, tol: float = 1e-9) -> bool:
-        """Whether w(c) = w(1-c) (atoms included) within ``tol`` on a grid."""
+    def is_symmetric(self) -> bool:
+        """Whether w(c) = w(1-c) (atoms included) within 1e-9 on a grid."""
         xs = np.linspace(0.01, 0.99, 197)
         vals = self.w(xs)
-        if not np.allclose(vals, vals[::-1], atol=tol, rtol=tol):
+        if not np.allclose(vals, vals[::-1], atol=1e-9, rtol=1e-9):
             return False
         mirrored = sorted((round(1.0 - c, 12), m) for c, m in self.atoms)
         return mirrored == sorted((round(c, 12), m) for c, m in self.atoms)

@@ -122,6 +122,31 @@ class TestConvexityCharacterization:
                                        np.linspace(0.4, 0.6, 21))
 
 
+# The expression twin of each closed-form catalog weight.
+TWINS = {"square": "1", "log": "1/((1-c)*c)", "boosting": "((1-c)*c)^-1.5",
+         "minimal": "0.5*min(1/c, 1/(1-c))", "w1-over-c": "1/c", "w1-over-1mc": "1/(1-c)"}
+# Without w', the slope of log w is a central difference with relative error
+# h^2/(3x^2), 3.3e-5 at x = 1e-4 for 1/c; with the identity link these two
+# weights sit exactly on the bound, and 19 points fall past the 1e-9 tolerance.
+_ON_THE_BOUND = {("w1-over-c", "identity"), ("w1-over-1mc", "identity")}
+_TWIN_PAIRS = [
+    pytest.param(w, l, marks=[pytest.mark.xfail(
+        strict=True, reason="difference quotient of log w misreads a weight on the bound")]
+        if (w, l) in _ON_THE_BOUND else [])
+    for w in WEIGHTS for l in LINKS + ["canonical"]]
+
+
+@pytest.mark.parametrize("wname,lname", _TWIN_PAIRS)
+def test_an_expression_twin_gets_the_catalog_verdict(wname, lname):
+    def report(wf):
+        link = canonical_link(wf) if lname == "canonical" else catalog_link(lname)
+        return convexity_characterization(wf, link)
+
+    want = report(catalog_weight(wname))
+    got = report(WeightFunction(w=compile_expression(TWINS[wname])))
+    assert (got.convex, len(got.violations)) == (want.convex, len(want.violations))
+
+
 class TestConvexityOracle:
     def test_logistic_margin_composite_convex(self):
         cl = composite_from_margin(logistic_margin())

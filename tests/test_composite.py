@@ -64,7 +64,7 @@ class TestMakeComposite:
         cl = make_composite(cost_loss(0.4), catalog_link("identity"))
         assert float(cl.ell_neg_v(np.asarray(0.5))) == pytest.approx(0.4)
         with pytest.raises(ValueError):
-            cl.require_rho()
+            cl.rho
         with pytest.raises(ValueError):
             score_gradients(cl, 0.5)
 
@@ -174,8 +174,8 @@ class TestReferenceAndMarginLinks:
     def test_reference_link_specialises_to_margin_link(self):
         m = exponential_margin()
         margin = margin_to_link(m)
-        ref = reference_link(lam_pos_prime=lambda v: np.asarray(m.dphi(v)),
-                             lam_neg_prime=lambda v: -np.asarray(m.dphi(-v)))
+        ref = reference_link(lam_pos_prime=lambda v: np.asarray(m.phi_prime(v)),
+                             lam_neg_prime=lambda v: -np.asarray(m.phi_prime(-v)))
         vs = np.linspace(-8, 8, 81)
         assert np.max(np.abs(np.asarray(ref.q(vs)) - np.asarray(margin.q(vs)))) <= 1e-10
 
@@ -183,7 +183,7 @@ class TestReferenceAndMarginLinks:
                              ids=lambda m: m.name)
     def test_margin_link_is_bitwise_the_reference_link(self, m):
         margin = margin_to_link(m)
-        ref = reference_link(lam_pos_prime=m.dphi, lam_neg_prime=lambda v: -m.dphi(-v))
+        ref = reference_link(lam_pos_prime=m.phi_prime, lam_neg_prime=lambda v: -m.phi_prime(-v))
         vs = np.linspace(-19.5, 19.5, 161)
         xs = np.linspace(0.001, 0.999, 161)
         assert margin.q(vs).tobytes() == ref.q(vs).tobytes()
@@ -226,7 +226,8 @@ class TestReferenceAndMarginLinks:
 
     def test_hinge_refused(self):
         hinge = MarginLoss(
-            phi=lambda v: np.maximum(1.0 - np.asarray(v, dtype=float), 0.0),
+            phi=lambda v: np.maximum(1.0 - v, 0.0),
+            phi_prime=lambda v: np.where(v < 1.0, -1.0, 0.0),
             name="hinge")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

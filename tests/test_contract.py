@@ -1,13 +1,27 @@
 """The callable contract: every callable a cploss object holds maps float
-arrays to float arrays of the same shape, silently, and is wrapped once."""
+arrays to float arrays of the same shape, silently, and is wrapped once.
+Also the list of public settings that have a default."""
 
 import dataclasses
+import inspect
 import warnings
 
 import numpy as np
 import pytest
 
+from cploss import (
+    analysis,
+    composite,
+    experiments,
+    expressions,
+    links,
+    numerics,
+    proper,
+    robustness,
+    weights,
+)
 from cploss.composite import (
+    CompositeLoss,
     composite_from_margin,
     exponential_margin,
     logistic_margin,
@@ -78,6 +92,9 @@ def _held(obj) -> list:
 
 HELD = [pytest.param(fn, id=f"{label}.{name}")
         for label, obj in OBJECTS.items() for name, fn in _held(obj)]
+# rho is derived from the base and the link on each read, not held, and keeps the same contract
+HELD += [pytest.param(obj.rho, id=f"{label}.rho")
+         for label, obj in OBJECTS.items() if isinstance(obj, CompositeLoss)]
 
 
 def test_every_kind_of_held_callable_is_covered():
@@ -87,9 +104,12 @@ def test_every_kind_of_held_callable_is_covered():
         ("WeightFunction", "W"), ("WeightFunction", "Wbar"),
         ("Link", "psi"), ("Link", "psi_prime"), ("Link", "psi_second"), ("Link", "q"),
         ("ProperLoss", "ell_pos"), ("ProperLoss", "ell_neg"),
-        ("MarginLoss", "phi"), ("MarginLoss", "phi_prime"),
-        ("CompositeLoss", "rho"), ("Experiment", "eta"),
+        ("MarginLoss", "phi"), ("MarginLoss", "phi_prime"), ("Experiment", "eta"),
     }
+
+
+def test_a_composite_holds_only_its_base_and_link():
+    assert [f.name for f in dataclasses.fields(CompositeLoss)] == ["base", "link"]
 
 
 @pytest.mark.parametrize("fn", HELD)
@@ -131,3 +151,51 @@ def test_replace_keeps_the_same_callables(label):
     copy = dataclasses.replace(obj)
     for name, fn in _held(obj):
         assert getattr(copy, name) is fn
+
+
+# Every public setting that has a default: a field of a public dataclass, or
+# a parameter of a public function or method.  A new one shows up here.
+DEFAULTED_SETTINGS = [
+    "QuadratureSpec.abs_tol", "QuadratureSpec.rel_tol", "integrate(spec)",
+    "minimize_scalar(tol)", "finite_diff(order)", "finite_diff(h)",
+    "WeightFunction.w_prime", "WeightFunction.W", "WeightFunction.Wbar",
+    "WeightFunction.atoms", "WeightFunction.name", "WeightFunction.knots",
+    "catalog_weight(params)", "tabulated_weight(name)",
+    "Link.psi_second", "Link.range", "Link.name",
+    "numeric_inverse(tol)", "numeric_inverse(domain)", "numeric_inverse(dpsi)",
+    "ProperLoss.fair", "ProperLoss.strictly_proper", "ProperLoss.name",
+    "catalog_loss(params)", "weight_from_loss(grid)",
+    "MarginLoss.name", "reference_link(v_range)", "margin_to_link(v_range)",
+    "composite_from_margin(v_range)",
+    "ConvexityReport.grid_size", "ConvexityReport.tolerance",
+    "ConvexityReport.violation_xs(side)", "RegionCurve.link_name", "RegionCurve.contains(tol)",
+    "certification_grid(n)", "convexity_characterization(grid)",
+    "convexity_characterization(tol)", "convexity_oracle(score_grid)", "convexity_oracle(tol)",
+    "allowable_region(grid)", "proper_nonrobust_region(grid)", "nonrobust_region_report(grid)",
+    "Experiment.name", "constrained_bayes(tol)", "regret_bound_rhs(loss)",
+]
+
+
+def _defaulted(fn) -> list[str]:
+    return [p.name for p in inspect.signature(fn).parameters.values()
+            if p.default is not inspect.Parameter.empty]
+
+
+def test_every_defaulted_public_setting_is_listed():
+    found = []
+    for module in (numerics, weights, links, proper, composite, analysis, robustness,
+                   experiments, expressions):
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if inspect.isfunction(obj):
+                found += [f"{name}({p})" for p in _defaulted(obj)]
+            elif inspect.isclass(obj):
+                if dataclasses.is_dataclass(obj):
+                    found += [f"{name}.{f.name}" for f in dataclasses.fields(obj)
+                              if f.default is not dataclasses.MISSING
+                              or f.default_factory is not dataclasses.MISSING]
+                found += [f"{name}.{attr}({p})" for attr, fn in vars(obj).items()
+                          if inspect.isfunction(fn) and not attr.startswith("_")
+                          for p in _defaulted(fn)]
+    assert found == DEFAULTED_SETTINGS
+    assert len(found) == 45

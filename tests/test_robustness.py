@@ -95,7 +95,7 @@ class TestMinimizerSet:
         assert sel.max() == 1.0
 
     def test_strictly_proper_near_singleton(self):
-        sel = minimizer_set(catalog_loss("square"), 0.3, self.GRID, slack=1e-12)
+        sel = minimizer_set(catalog_loss("square"), 0.3, self.GRID)
         assert len(sel) == 1
         assert sel[0] == pytest.approx(0.3, abs=1e-3)
 
