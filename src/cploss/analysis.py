@@ -3,12 +3,13 @@
 Convexity of a composite loss is decided two independent ways: through the
 weight/link characterisation
 
-    -1/x  <=  w'(x)/w(x) - psi''(x)/psi'(x)  <=  1/(1-x)    on (0,1),
+    -1/x  <=  rho'/rho  <=  1/(1-x)  on (0,1),  rho = w / psi',
 
-and through a brute-force oracle on discrete second differences of the
-partial losses over a score grid.  Either route produces a
-:class:`ConvexityReport` whose violations carry both compared quantities.
-Certification is grid-based and reported as such, never as a formal proof.
+read as two monotone functions, and through a brute-force oracle on
+discrete second differences of the partial losses over a score grid.
+Either route produces a :class:`ConvexityReport` whose violations carry
+both compared quantities.  Certification is grid-based and reported as
+such, never as a formal proof.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .composite import CompositeLoss
-from .links import Link
-from .numerics import finite_diff
+from .links import Link, rho_of
 from .proper import ProperLoss, _weight_readings
 from .weights import WeightFunction, normalize_weight, tabulated_weight
 
@@ -50,7 +50,8 @@ class ConvexityReport:
 
     ``violations`` holds ``(x, side, lhs, rhs)`` tuples: the probability
     coordinate, which bound failed ("lower" tracks the negative partial,
-    "upper" the positive one), and the two compared quantities.
+    "upper" the positive one), and the two compared quantities: that side's
+    reading of ``rho'/rho`` and its bound, or a second difference and 0.
     """
 
     convex: bool
@@ -152,43 +153,41 @@ def check_proper(ell_pos: Callable, ell_neg: Callable,
     return proper, weight, max_resid
 
 
-def _log_slope(f: Callable, f_prime: Callable | None, xs: np.ndarray) -> np.ndarray:
-    """``f'/f`` at ``xs``: the closed form when ``f_prime`` is given."""
-    if f_prime is not None:
-        return f_prime(xs) / f(xs)
-    # derivative of log f by central differences: better conditioned when f
-    # is small
-    return finite_diff(lambda t: np.log(f(t)), xs, 1, h=1e-6)
-
-
 def convexity_characterization(wf: WeightFunction, link: Link,
                                grid: Sequence[float] | None = None,
                                tol: float = 1e-9) -> ConvexityReport:
     """Certify composite convexity through the weight/link slope condition.
 
-    Evaluates ``w'/w - psi''/psi'`` against the bounds ``-1/x`` and
-    ``1/(1-x)`` at every grid point.  The weight must be a strictly positive
-    density on the grid (the characterisation assumes strict properness).
+    The condition ``-1/x <= rho'/rho <= 1/(1-x)`` on ``rho = w / psi'`` says
+    that ``f = x rho`` does not decrease (lower) and ``f = (1-x) rho`` does
+    not increase (upper).  A side's reading of ``rho'/rho`` is the central
+    slope ``log|f(x+h) / f(x-h)| / 2h``, h = 1e-6, plus its bound.  A weight
+    on a bound makes ``f`` constant, so the slope reads 0 up to the rounding
+    of ``f``, and no derivative of ``w`` or ``psi'`` is needed.  ``rho`` is
+    evaluated once, at each grid point and its two offsets.  The weight must
+    be strictly positive on the grid (strict properness is assumed).
     """
     if grid is None:
         grid = certification_grid()
     xs = np.asarray(grid, dtype=float)
     if wf.has_atoms:
         raise StrictnessError("characterisation requires an atom-free weight")
-    wvals = wf.w(xs)
-    if np.any(wvals <= 0):
+    n, h = xs.size, 1e-6
+    ts = np.concatenate([xs - h, xs + h, xs])
+    rho = rho_of(wf, link)(ts)
+    if np.any(rho[2 * n:] <= 0):
         raise StrictnessError("characterisation requires w > 0 on the grid")
-    # rho'/rho for rho = w / psi'.  Both factors are read the same way, so a
-    # canonical pair (psi' is w) gives exactly 0.
-    mid = _log_slope(wf.w, wf.w_prime, xs) - _log_slope(link.psi_prime, link.psi_second, xs)
-    lower = -1.0 / xs
-    upper = 1.0 / (1.0 - xs)
-    slack_lo = tol * np.maximum(1.0, np.maximum(np.abs(mid), np.abs(lower)))
-    slack_hi = tol * np.maximum(1.0, np.maximum(np.abs(mid), np.abs(upper)))
+    ts, rho = ts[:2 * n], rho[:2 * n]
     violations = []
-    for i, side, rhs in ((np.nonzero(mid < lower - slack_lo)[0], "lower", lower),
-                         (np.nonzero(mid > upper + slack_hi)[0], "upper", upper)):
-        violations += zip(xs[i].tolist(), [side] * i.size, mid[i].tolist(), rhs[i].tolist())
+    # sign 1: lhs below the lower bound fails; sign -1: lhs above the upper one
+    for side, factor, bound, sign in (("lower", ts, -1.0 / xs, 1.0),
+                                      ("upper", 1.0 - ts, 1.0 / (1.0 - xs), -1.0)):
+        f = factor * rho
+        with np.errstate(all="ignore"):
+            lhs = np.log(np.abs(f[n:] / f[:n])) / (2.0 * h) + bound
+        slack = tol * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(bound)))
+        i = np.nonzero(sign * lhs < sign * bound - slack)[0]
+        violations += zip(xs[i].tolist(), [side] * i.size, lhs[i].tolist(), bound[i].tolist())
     violations.sort()
     return ConvexityReport(convex=not violations, violations=tuple(violations),
                            method="characterization", grid_size=len(xs), tolerance=tol)

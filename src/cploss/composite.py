@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .links import Link, numeric_inverse, rho_of
-from .numerics import antiderivative, array_fn, finite_diff
+from .numerics import NumericsError, antiderivative, array_fn, finite_diff
 from .proper import ProperLoss, _risk_terms, conditional_risk, regret
 from .weights import WeightFunction
 
@@ -115,11 +115,18 @@ def score_gradients(cl: CompositeLoss, v: float) -> tuple[float, float]:
     """Score derivatives of the two partial composite losses at ``v``.
 
     Returns ``(d_pos, d_neg) = ((q(v)-1)*rho(q(v)), q(v)*rho(q(v)))``, the
-    per-example gradient updates for positive and negative labels.
+    per-example gradient updates for positive and negative labels; raises
+    :class:`~cploss.numerics.NumericsError` naming ``v`` where ``rho(q(v))``
+    is not finite.  A margin link's ``psi'`` is 1 over a difference quotient
+    of its ``q``, which loses accuracy as ``q`` saturates (exponential margin:
+    ``d_neg`` at v = 18 is 5.37e7, not e^18 = 6.57e7) and fails once ``q(v)``
+    rounds to 1 (v >= 19).
     """
     rho = cl.rho
     etahat = float(cl.link.q(v))
     r = float(rho(etahat))
+    if not np.isfinite(r):
+        raise NumericsError(f"rho(q(v)) = {r} is not finite at v={v!r}")
     return ((etahat - 1.0) * r, etahat * r)
 
 

@@ -1,10 +1,12 @@
 """Link functions: strictly increasing maps from probabilities to scores.
 
-A :class:`Link` carries the forward map ``psi`` on (0, 1), its derivatives,
-the inverse map ``q``, and the score range.  The catalog covers the identity,
-logit, complementary log-log, square and cosine links; :func:`canonical_link`
-builds the link whose derivative equals a given weight function, which makes
-the link-adjusted weight ``rho = w / psi'`` identically one.
+A :class:`Link` carries the forward map ``psi`` on (0, 1), its derivative
+``psi'``, the inverse map ``q``, and the score range.  The catalog covers the
+identity, logit, complementary log-log, square and cosine links;
+:func:`canonical_link` builds the link whose derivative equals a given weight
+function, which makes the link-adjusted weight ``rho = w / psi'`` identically
+one.  No second derivative is held: the convexity characterisation reads
+``rho`` alone, as the two monotone functions ``x rho`` and ``(1-x) rho``.
 
 Instances are immutable and safe to share across threads.
 """
@@ -36,20 +38,19 @@ _GRID = np.linspace(0.01, 0.99, 99)
 class Link:
     """Strictly increasing map ``psi`` from (0,1) to scores, with inverse ``q``.
 
-    ``psi``, ``psi_prime``, ``psi_second`` and ``q`` are held under the
-    contract of :func:`~cploss.numerics.array_fn`, applied once here: float
-    ndarrays in and out, numpy warnings silenced.
+    ``psi``, ``psi_prime`` and ``q`` are held under the contract of
+    :func:`~cploss.numerics.array_fn`, applied once here: float ndarrays in
+    and out, numpy warnings silenced.
     """
 
     psi: Callable
     psi_prime: Callable
     q: Callable
-    psi_second: Callable | None = None
     range: tuple[float, float] = (-math.inf, math.inf)
     name: str = "custom"
 
     def __post_init__(self):
-        for field in ("psi", "psi_prime", "q", "psi_second"):
+        for field in ("psi", "psi_prime", "q"):
             object.__setattr__(self, field, array_fn(getattr(self, field)))
         dpsi = self.psi_prime(_GRID)
         if np.any(dpsi <= 0) or not np.all(np.isfinite(dpsi)):
@@ -180,7 +181,6 @@ _CATALOG: dict[str, Link] = {link.name: link for link in (
     Link(
         psi=lambda x: x,
         psi_prime=lambda x: np.ones_like(x),
-        psi_second=lambda x: np.zeros_like(x),
         q=lambda v: v,
         range=(0.0, 1.0),
         name="identity",
@@ -188,7 +188,6 @@ _CATALOG: dict[str, Link] = {link.name: link for link in (
     Link(
         psi=lambda x: np.log(x / (1.0 - x)),
         psi_prime=lambda x: 1.0 / (x * (1.0 - x)),
-        psi_second=lambda x: (2.0 * x - 1.0) / (x * (1.0 - x)) ** 2,
         q=lambda v: np.where(v >= 0, 1.0 / (1.0 + np.exp(-v)), np.exp(v) / (1.0 + np.exp(v))),
         name="logit",
     ),
@@ -196,14 +195,12 @@ _CATALOG: dict[str, Link] = {link.name: link for link in (
     Link(
         psi=lambda x: np.log(-np.log(1.0 - x)),
         psi_prime=lambda x: 1.0 / ((1.0 - x) * -np.log(1.0 - x)),
-        psi_second=lambda x: (-np.log(1.0 - x) - 1.0) / ((1.0 - x) * -np.log(1.0 - x)) ** 2,
         q=lambda v: -np.expm1(-np.exp(v)),
         name="cll",
     ),
     Link(
         psi=lambda x: x * x,
         psi_prime=lambda x: 2.0 * x,
-        psi_second=lambda x: 2.0 * np.ones_like(x),
         q=lambda v: np.sqrt(np.maximum(v, 0.0)),
         range=(0.0, 1.0),
         name="square-link",
@@ -211,7 +208,6 @@ _CATALOG: dict[str, Link] = {link.name: link for link in (
     Link(
         psi=lambda x: 1.0 - np.cos(np.pi * x),
         psi_prime=lambda x: np.pi * np.sin(np.pi * x),
-        psi_second=lambda x: np.pi ** 2 * np.cos(np.pi * x),
         q=lambda v: np.arccos(np.clip(1.0 - v, -1.0, 1.0)) / np.pi,
         range=(0.0, 2.0),
         name="cosine",
@@ -261,7 +257,6 @@ def canonical_link(wf: WeightFunction) -> Link:
     return Link(
         psi=psi,
         psi_prime=wf.w,
-        psi_second=wf.w_prime,
         q=q,
         range=(float(v_lo), float(v_hi)),
         name=f"canonical({wf.name})",

@@ -1,10 +1,11 @@
 """Weight functions: the curvature parametrisation of proper losses.
 
 A weight function is a nonnegative density ``w`` on (0, 1), optionally with
-point masses (``atoms``), a derivative, and antiderivatives ``W`` (of w) and
-``Wbar`` (of W).  Atoms are carried symbolically as ``(location, mass)``
-pairs and are never smoothed; operations that cannot handle them reject
-them explicitly.
+point masses (``atoms``) and antiderivatives ``W`` (of w) and ``Wbar`` (of
+W).  Atoms are carried symbolically as ``(location, mass)`` pairs and are
+never smoothed; operations that cannot handle them reject them explicitly.
+No derivative of ``w`` is held: the convexity characterisation reads
+``rho = w / psi'`` as the two monotone functions ``x rho`` and ``(1-x) rho``.
 
 All instances are immutable after construction and safe to share across
 threads.
@@ -75,13 +76,13 @@ class WeightFunction:
     ----------
     w : callable
         Continuous part of the weight.
-    w_prime, W, Wbar : callable, optional
-        Derivative of ``w`` and the antiderivatives of ``w`` and ``W``.  Any
-        antiderivative constant is acceptable: every consumer is invariant
-        to it.  Each supplied antiderivative ``F`` of ``f`` is checked on a
-        fixed grid: ``(F(x+h) - F(x-h)) / 2h`` must match the mean of ``f``
-        over ``[x-h, x+h]`` to 1e-6 relative, piecewise between the
-        ``knots``: by quadrature for ``w``, by Simpson's rule for ``W``.
+    W, Wbar : callable, optional
+        The antiderivatives of ``w`` and ``W``.  Any antiderivative constant
+        is acceptable: every consumer is invariant to it.  Each supplied
+        antiderivative ``F`` of ``f`` is checked on a fixed grid:
+        ``(F(x+h) - F(x-h)) / 2h`` must match the mean of ``f`` over
+        ``[x-h, x+h]`` to 1e-6 relative, piecewise between the ``knots``: by
+        quadrature for ``w``, by Simpson's rule for ``W``.
     atoms : sequence of (location, mass)
         Point masses in (0, 1) with positive mass.
     knots : sequence of float
@@ -90,7 +91,6 @@ class WeightFunction:
     """
 
     w: Callable
-    w_prime: Callable | None = None
     W: Callable | None = None
     Wbar: Callable | None = None
     atoms: tuple[tuple[float, float], ...] = ()
@@ -98,7 +98,7 @@ class WeightFunction:
     knots: tuple[float, ...] = ()
 
     def __post_init__(self):
-        for field in ("w", "w_prime", "W", "Wbar"):
+        for field in ("w", "W", "Wbar"):
             object.__setattr__(self, field, array_fn(getattr(self, field)))
         object.__setattr__(self, "atoms", tuple((float(c), float(m)) for c, m in self.atoms))
         object.__setattr__(self, "knots", tuple(float(k) for k in self.knots))
@@ -171,14 +171,12 @@ class WeightFunction:
 _CATALOG: dict[str, WeightFunction] = {wf.name: wf for wf in (
     WeightFunction(
         w=lambda c: np.ones_like(c),
-        w_prime=lambda c: np.zeros_like(c),
         W=lambda c: c,
         Wbar=lambda c: c * c / 2.0,
         name="square",
     ),
     WeightFunction(
         w=lambda c: 1.0 / ((1.0 - c) * c),
-        w_prime=lambda c: (2.0 * c - 1.0) / ((1.0 - c) * c) ** 2,
         W=lambda c: np.log(c / (1.0 - c)),
         Wbar=lambda c: (np.where(c > 0, c * np.log(np.maximum(c, 1e-300)), 0.0)
                         + np.where(c < 1, (1.0 - c) * np.log(np.maximum(1.0 - c, 1e-300)), 0.0)),
@@ -186,32 +184,26 @@ _CATALOG: dict[str, WeightFunction] = {wf.name: wf for wf in (
     ),
     WeightFunction(
         w=lambda c: ((1.0 - c) * c) ** -1.5,
-        w_prime=lambda c: 1.5 * (2.0 * c - 1.0) * ((1.0 - c) * c) ** -2.5,
         W=lambda c: 2.0 * (2.0 * c - 1.0) / np.sqrt(c * (1.0 - c)),
         Wbar=lambda c: -4.0 * np.sqrt(c * (1.0 - c)),
         name="boosting",
     ),
     WeightFunction(
         w=lambda c: 1.0 / c,
-        w_prime=lambda c: -1.0 / c ** 2,
         W=lambda c: np.log(c),
         Wbar=lambda c: np.where(c > 0, c * np.log(np.maximum(c, 1e-300)) - c, 0.0),
         name="w1-over-c",
     ),
     WeightFunction(
         w=lambda c: 1.0 / (1.0 - c),
-        w_prime=lambda c: 1.0 / (1.0 - c) ** 2,
         W=lambda c: -np.log(1.0 - c),
         Wbar=lambda c: np.where(c < 1, (1.0 - c) * np.log(np.maximum(1.0 - c, 1e-300)), 0.0) + c,
         name="w1-over-1mc",
     ),
     # Lower envelope of the identity-link convexity region: the pointwise
     # smallest weight (normalised to w(1/2)=1) whose loss is still convex.
-    # At the kink w_prime takes the subgradient 0 (interior of [-2, 2]).
     WeightFunction(
         w=lambda c: 0.5 * np.minimum(1.0 / c, 1.0 / (1.0 - c)),
-        w_prime=lambda c: np.where(c == 0.5, 0.0,
-                                   np.where(c < 0.5, 0.5 / (1.0 - c) ** 2, -0.5 / c ** 2)),
         W=lambda c: np.where(c < 0.5, -0.5 * np.log(2.0 * np.maximum(1.0 - c, 1e-300)),
                              0.5 * np.log(2.0 * np.maximum(c, 1e-300))),
         Wbar=lambda c: np.where(
@@ -344,7 +336,6 @@ def normalize_weight(wf: WeightFunction) -> WeightFunction:
     scale = lambda fn: (None if fn is None else lambda c, _f=fn: s * _f(c))
     return WeightFunction(
         w=scale(wf.w),
-        w_prime=scale(wf.w_prime),
         W=scale(wf.W),
         Wbar=scale(wf.Wbar),
         atoms=tuple((c, s * m) for c, m in wf.atoms),

@@ -4,10 +4,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from cploss.analysis import (
     StrictnessError,
-    _log_slope,
     allowable_region,
     calibration_cc,
     calibration_composite,
@@ -21,6 +22,7 @@ from cploss.expressions import compile_expression
 from cploss.links import canonical_link, catalog_link
 from cploss.proper import catalog_loss, cost_loss, from_weight, zero_one_loss
 from cploss.weights import WeightFunction, catalog_weight, tabulated_weight
+from weight_strategies import BETA_EXPONENTS, beta_expression
 
 GRID = np.linspace(0.05, 0.95, 37)
 
@@ -99,9 +101,10 @@ class TestConvexityCharacterization:
         assert report.convex, wname
 
     @pytest.mark.parametrize("lname", ["square-link", "cosine"])
-    def test_expression_weight_reads_the_closed_form_link_curvature(self, lname):
-        # w = 1 with psi = x^2 meets the lower bound -1/x with equality: only the
-        # link's own psi''/psi' reads it without a difference quotient's error
+    def test_constant_expression_weight_with_a_curved_link_is_convex(self, lname):
+        # w = 1 with psi = x^2 meets the lower bound -1/x with equality: x rho = 1/2
+        # is constant, so its slope reads 0; with the cosine link x rho grows only
+        # by a factor of about 1 + pi^2 x^2 / 6 near 0
         wf = WeightFunction(w=compile_expression("1"))
         assert convexity_characterization(wf, catalog_link(lname)).convex
 
@@ -125,18 +128,10 @@ class TestConvexityCharacterization:
 # The expression twin of each closed-form catalog weight.
 TWINS = {"square": "1", "log": "1/((1-c)*c)", "boosting": "((1-c)*c)^-1.5",
          "minimal": "0.5*min(1/c, 1/(1-c))", "w1-over-c": "1/c", "w1-over-1mc": "1/(1-c)"}
-# Without w', the slope of log w is a central difference with relative error
-# h^2/(3x^2), 3.3e-5 at x = 1e-4 for 1/c; with the identity link these two
-# weights sit exactly on the bound, and 19 points fall past the 1e-9 tolerance.
-_ON_THE_BOUND = {("w1-over-c", "identity"), ("w1-over-1mc", "identity")}
-_TWIN_PAIRS = [
-    pytest.param(w, l, marks=[pytest.mark.xfail(
-        strict=True, reason="difference quotient of log w misreads a weight on the bound")]
-        if (w, l) in _ON_THE_BOUND else [])
-    for w in WEIGHTS for l in LINKS + ["canonical"]]
 
 
-@pytest.mark.parametrize("wname,lname", _TWIN_PAIRS)
+@pytest.mark.parametrize("lname", LINKS + ["canonical"])
+@pytest.mark.parametrize("wname", WEIGHTS)
 def test_an_expression_twin_gets_the_catalog_verdict(wname, lname):
     def report(wf):
         link = canonical_link(wf) if lname == "canonical" else catalog_link(lname)
@@ -144,7 +139,45 @@ def test_an_expression_twin_gets_the_catalog_verdict(wname, lname):
 
     want = report(catalog_weight(wname))
     got = report(WeightFunction(w=compile_expression(TWINS[wname])))
-    assert (got.convex, len(got.violations)) == (want.convex, len(want.violations))
+    assert got.convex == want.convex
+    assert [v[:2] for v in got.violations] == [v[:2] for v in want.violations]
+
+
+def _beta_violations(a, b, xs, tol=1e-9):
+    """The violations ``(x, side)`` of the Beta weight c^(a-1) (1-c)^(b-1) with the
+    identity link, from the closed-form slopes of log(x rho) and log((1-x) rho),
+    under the characterisation's tolerance rule; and the smallest distance of a
+    reading from its threshold, in units of the slack."""
+    A, B = a - 1.0, b - 1.0  # the exponents as the expression holds them
+    out, nearest = [], np.inf
+    for side, slope, bound, sign in (("lower", (A + 1.0) / xs - B / (1.0 - xs), -1.0 / xs, 1.0),
+                                     ("upper", A / xs - (B + 1.0) / (1.0 - xs), 1.0 / (1.0 - xs),
+                                      -1.0)):
+        lhs = slope + bound
+        slack = tol * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(bound)))
+        nearest = min(nearest, float(np.min(np.abs(sign * (lhs - bound) + slack) / slack)))
+        out += [(float(x), side) for x in xs[sign * lhs < sign * bound - slack]]
+    return sorted(out), nearest
+
+
+# exact exponents put a weight on a bound: c^-1 on the lower one, (1-c)^-1 on the upper
+_BETA_EXACT = st.sampled_from([0.0, 1.0])
+
+
+@given(st.one_of(_BETA_EXACT, BETA_EXPONENTS[0]), st.one_of(_BETA_EXACT, BETA_EXPONENTS[1]))
+@example(0.0, 1.0)
+@example(1.0, 0.0)
+@example(0.0, 1.001)
+def test_beta_violations_follow_the_closed_form_slopes(a, b):
+    xs = certification_grid()
+    want, nearest = _beta_violations(a, b, xs)
+    # a closed-form reading within half the slack of its threshold is not decided
+    # by a float reading; on a bound the distance is the whole slack
+    assume(nearest > 0.5)
+    report = convexity_characterization(WeightFunction(w=beta_expression(a, b)),
+                                        catalog_link("identity"), xs)
+    assert [v[:2] for v in report.violations] == want
+    assert report.convex == (not want)
 
 
 class TestConvexityOracle:
@@ -179,17 +212,24 @@ class TestConvexityOracle:
         assert char.convex == oracle.convex, (wname, lname)
 
 
-def _loop_characterization(wf, link, xs, tol=1e-9):
-    """Reference: the violations of the characterisation, one grid point at a time."""
-    mid = (_log_slope(wf.w, wf.w_prime, xs)
-           - _log_slope(link.psi_prime, link.psi_second, xs))
-    lower, upper = -1.0 / xs, 1.0 / (1.0 - xs)
+def _loop_characterization(wf, link, xs, tol=1e-9, h=1e-6):
+    """Reference: the violations of the characterisation, one grid point at a time.
+
+    At each x, ``x rho`` must not decrease and ``(1-x) rho`` must not increase
+    between x - h and x + h; the reading of ``rho'/rho`` is the central slope
+    of the log of that function, the log of the ratio of its two values over
+    2h, plus the bound.
+    """
     out = []
-    for i, x in enumerate(xs):
-        if mid[i] < lower[i] - tol * max(1.0, abs(mid[i]), abs(lower[i])):
-            out.append((float(x), "lower", float(mid[i]), float(lower[i])))
-        if mid[i] > upper[i] + tol * max(1.0, abs(mid[i]), abs(upper[i])):
-            out.append((float(x), "upper", float(mid[i]), float(upper[i])))
+    for x in xs:
+        t = np.array([x - h, x + h])
+        rho = wf.w(t) / link.psi_prime(t)
+        for side, f, bound in (("lower", t * rho, -1.0 / x),
+                               ("upper", (1.0 - t) * rho, 1.0 / (1.0 - x))):
+            lhs = np.log(abs(f[1] / f[0])) / (2.0 * h) + bound
+            slack = tol * max(1.0, abs(lhs), abs(bound))
+            if lhs < bound - slack if side == "lower" else lhs > bound + slack:
+                out.append((float(x), side, float(lhs), float(bound)))
     return tuple(out)
 
 
@@ -231,8 +271,9 @@ class TestViolationsMatchTheLoopReference:
 
     def test_a_grid_point_can_break_both_bounds(self):
         # beyond (0, 1) the bounds cross, so one point violates both; "lower" comes first
-        # with w = exp(-c) and the identity link, w'/w - psi''/psi' = -1
-        wf = WeightFunction(w=lambda c: np.exp(-c), w_prime=lambda c: -np.exp(-c))
+        # with w = exp(-c) and the identity link, rho'/rho = -1; log|.| reads the
+        # negative (1-x) rho there
+        wf = WeightFunction(w=lambda c: np.exp(-c))
         link = catalog_link("identity")
         xs = np.array([0.5, 1.5])
         report = convexity_characterization(wf, link, xs)

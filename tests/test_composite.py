@@ -22,7 +22,7 @@ from cploss.composite import (
     zhang_margin,
 )
 from cploss.links import catalog_link, canonical_link
-from cploss.numerics import finite_diff
+from cploss.numerics import NumericsError, finite_diff
 from cploss.proper import catalog_loss, cost_loss, regret
 from cploss.weights import WeightFunction, catalog_weight
 from weight_strategies import beta_expression
@@ -123,6 +123,15 @@ class TestScoreGradients:
             q = float(cl.link.q(np.asarray(v)))
             assert d_neg - d_pos == pytest.approx(float(cl.rho(np.asarray(q))))
             assert d_neg - d_pos >= 0.0
+
+    @pytest.mark.parametrize("v", [19.0, 20.0])
+    def test_saturated_margin_link_raises_naming_v(self, v):
+        # q(v) rounds to 1, where the margin link's psi' (1 over a difference
+        # quotient of q) is undefined; below, at v = -19, the gradients are finite
+        cl = composite_from_margin(exponential_margin())
+        assert np.all(np.isfinite(score_gradients(cl, -19.0)))
+        with pytest.raises(NumericsError, match=f"v={v!r}"):
+            score_gradients(cl, v)
 
     @pytest.mark.parametrize("builder", [
         lambda: make_composite(catalog_loss("log"), catalog_link("logit")),

@@ -100,9 +100,8 @@ HELD += [pytest.param(obj.rho, id=f"{label}.rho")
 def test_every_kind_of_held_callable_is_covered():
     kinds = {(type(obj).__name__, name) for obj in OBJECTS.values() for name, _ in _held(obj)}
     assert kinds == {
-        ("WeightFunction", "w"), ("WeightFunction", "w_prime"),
-        ("WeightFunction", "W"), ("WeightFunction", "Wbar"),
-        ("Link", "psi"), ("Link", "psi_prime"), ("Link", "psi_second"), ("Link", "q"),
+        ("WeightFunction", "w"), ("WeightFunction", "W"), ("WeightFunction", "Wbar"),
+        ("Link", "psi"), ("Link", "psi_prime"), ("Link", "q"),
         ("ProperLoss", "ell_pos"), ("ProperLoss", "ell_neg"),
         ("MarginLoss", "phi"), ("MarginLoss", "phi_prime"), ("Experiment", "eta"),
     }
@@ -158,10 +157,10 @@ def test_replace_keeps_the_same_callables(label):
 DEFAULTED_SETTINGS = [
     "QuadratureSpec.abs_tol", "QuadratureSpec.rel_tol", "integrate(spec)",
     "minimize_scalar(tol)", "finite_diff(order)", "finite_diff(h)",
-    "WeightFunction.w_prime", "WeightFunction.W", "WeightFunction.Wbar",
+    "WeightFunction.W", "WeightFunction.Wbar",
     "WeightFunction.atoms", "WeightFunction.name", "WeightFunction.knots",
     "catalog_weight(params)", "tabulated_weight(name)",
-    "Link.psi_second", "Link.range", "Link.name",
+    "Link.range", "Link.name",
     "numeric_inverse(tol)", "numeric_inverse(domain)", "numeric_inverse(dpsi)",
     "ProperLoss.fair", "ProperLoss.strictly_proper", "ProperLoss.name",
     "catalog_loss(params)", "weight_from_loss(grid)",
@@ -198,4 +197,4 @@ def test_every_defaulted_public_setting_is_listed():
                           if inspect.isfunction(fn) and not attr.startswith("_")
                           for p in _defaulted(fn)]
     assert found == DEFAULTED_SETTINGS
-    assert len(found) == 45
+    assert len(found) == 43

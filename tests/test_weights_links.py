@@ -167,7 +167,6 @@ class TestLinkCatalog:
         lk = catalog_link("identity")
         xs = np.linspace(0.01, 0.99, 21)
         assert np.allclose(np.asarray(lk.psi_prime(xs)), 1.0)
-        assert np.allclose(np.asarray(lk.psi_second(xs)), 0.0)
 
     def test_cll(self):
         lk = catalog_link("cll")
@@ -393,8 +392,7 @@ class TestNumericInverse:
 
     def test_canonical_link_inverts_in_few_array_calls(self):
         calls = []
-        wf = WeightFunction(w=_LOG.w, w_prime=_LOG.w_prime,
-                            W=_counting(_LOG.W, calls), Wbar=_LOG.Wbar, name="log")
+        wf = WeightFunction(w=_LOG.w, W=_counting(_LOG.W, calls), Wbar=_LOG.Wbar, name="log")
         cl = canonical_link(wf)
         vs = np.asarray(cl.psi(self.XS))
         calls.clear()
