@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
@@ -141,6 +142,47 @@ def test_an_expression_twin_gets_the_catalog_verdict(wname, lname):
     got = report(WeightFunction(w=compile_expression(TWINS[wname])))
     assert got.convex == want.convex
     assert [v[:2] for v in got.violations] == [v[:2] for v in want.violations]
+
+
+_c = sp.Symbol("c", positive=True)
+EXACT_W = {"square": sp.Integer(1), "log": 1 / (_c * (1 - _c)),
+           "boosting": (_c * (1 - _c)) ** sp.Rational(-3, 2),
+           "minimal": sp.Piecewise((1 / (2 * (1 - _c)), _c < sp.Rational(1, 2)), (1 / (2 * _c), True)),
+           "w1-over-c": 1 / _c, "w1-over-1mc": 1 / (1 - _c)}
+EXACT_PSI = {"identity": _c, "logit": sp.log(_c / (1 - _c)), "cll": sp.log(-sp.log(1 - _c)),
+             "square-link": _c ** 2, "cosine": 1 - sp.cos(sp.pi * _c)}
+
+
+def _exact_log_slope(wname, lname, xs):
+    """rho'/rho = w'/w - psi''/psi' from sympy derivatives; 0 for the canonical link."""
+    if lname == "canonical":
+        return np.zeros_like(xs)
+    w, dpsi = EXACT_W[wname], sp.diff(EXACT_PSI[lname], _c)
+    f = sp.lambdify(_c, sp.diff(w, _c) / w - sp.diff(dpsi, _c) / dpsi, "numpy")
+    return np.broadcast_to(np.asarray(f(xs), dtype=float), xs.shape)
+
+
+@pytest.mark.parametrize("typed", ["catalog", "expression"])
+@pytest.mark.parametrize("lname", LINKS + ["canonical"])
+@pytest.mark.parametrize("wname", WEIGHTS)
+def test_violations_are_those_of_the_exact_slopes(wname, lname, typed):
+    # the kink of the minimal weight at 1/2 has no slope and is left out
+    xs = certification_grid()
+    xs = xs[xs != 0.5] if wname == "minimal" else xs
+    exact = _exact_log_slope(wname, lname, xs)
+    want = []
+    for side, bound, sign in (("lower", -1.0 / xs, 1.0), ("upper", 1.0 / (1.0 - xs), -1.0)):
+        slack = 1e-9 * np.maximum(1.0, np.maximum(np.abs(exact), np.abs(bound)))
+        want += [(float(x), side) for x in xs[sign * exact < sign * bound - slack]]
+    wf = (catalog_weight(wname) if typed == "catalog"
+          else WeightFunction(w=compile_expression(TWINS[wname])))
+    link = canonical_link(wf) if lname == "canonical" else catalog_link(lname)
+    report = convexity_characterization(wf, link, xs)
+    assert [v[:2] for v in report.violations] == sorted(want)
+    # each reported lhs is the side's reading of rho'/rho
+    got = np.array([v[2] for v in report.violations])
+    at = np.array([v[0] for v in report.violations])
+    np.testing.assert_allclose(got, _exact_log_slope(wname, lname, at), rtol=1e-4, atol=1e-6)
 
 
 def _beta_violations(a, b, xs, tol=1e-9):

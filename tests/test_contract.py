@@ -72,6 +72,10 @@ def _objects() -> dict:
         out[f"margin-loss:{m.name}"] = cl.base
         out[f"margin-weight:{m.name}"] = cl.base.weight
     out["composite:log@logit"] = make_composite(catalog_loss("log"), catalog_link("logit"))
+    # a canonical pair reads rho = 1 through a branch of its own
+    out.update({f"composite:{name}@canonical": make_composite(out[f"loss:{name}"],
+                                                              out[f"canonical:{name}"])
+                for name in weights if f"canonical:{name}" in out})
     out["normalized:boosting"] = normalize_weight(weights["boosting"])
     out["weight-from-loss:log"] = weight_from_loss(catalog_loss("log"))
     with warnings.catch_warnings():
