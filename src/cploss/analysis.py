@@ -23,6 +23,7 @@ import numpy as np
 
 from .composite import CompositeLoss
 from .links import Link, rho_of
+from .numerics import NumericsError
 from .proper import ProperLoss, _weight_readings
 from .weights import WeightFunction, normalize_weight, tabulated_weight
 
@@ -165,7 +166,8 @@ def convexity_characterization(wf: WeightFunction, link: Link,
     on a bound makes ``f`` constant, so the slope reads 0 up to the rounding
     of ``f``, and no derivative of ``w`` or ``psi'`` is needed.  ``rho`` is
     evaluated once, at each grid point and its two offsets.  The weight must
-    be strictly positive on the grid (strict properness is assumed).
+    be strictly positive on the grid (strict properness is assumed).  A NaN
+    reading raises :class:`~cploss.numerics.NumericsError` naming its point.
     """
     if grid is None:
         grid = certification_grid()
@@ -185,6 +187,9 @@ def convexity_characterization(wf: WeightFunction, link: Link,
         f = factor * rho
         with np.errstate(all="ignore"):
             lhs = np.log(np.abs(f[n:] / f[:n])) / (2.0 * h) + bound
+        if np.isnan(lhs).any():
+            x = float(xs[np.isnan(lhs).argmax()])
+            raise NumericsError(f"the {side} reading of rho'/rho is nan at grid point x={x!r}")
         slack = tol * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(bound)))
         i = np.nonzero(sign * lhs < sign * bound - slack)[0]
         violations += zip(xs[i].tolist(), [side] * i.size, lhs[i].tolist(), bound[i].tolist())

@@ -19,7 +19,7 @@ import numpy as np
 
 from .links import Link, numeric_inverse, rho_of
 from .numerics import NumericsError, antiderivative, array_fn, finite_diff
-from .proper import ProperLoss, _risk_terms, conditional_risk, regret
+from .proper import ProperLoss, _Loss, conditional_risk, regret
 from .weights import WeightFunction
 
 __all__ = [
@@ -40,8 +40,8 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class CompositeLoss:
-    """A proper loss paired with a link, evaluable at raw scores."""
+class CompositeLoss(_Loss):
+    """A proper loss paired with a link; its partials take scores ``v``."""
 
     base: ProperLoss
     link: Link
@@ -57,18 +57,11 @@ class CompositeLoss:
     def name(self) -> str:
         return f"{self.base.name}@{self.link.name}"
 
-    def ell_pos_v(self, v):
+    def ell_pos(self, v):
         return self.base.ell_pos(self.link.q(v))
 
-    def ell_neg_v(self, v):
+    def ell_neg(self, v):
         return self.base.ell_neg(self.link.q(v))
-
-    def ell(self, y: int, v):
-        if y == 1:
-            return self.ell_pos_v(v)
-        if y == -1:
-            return self.ell_neg_v(v)
-        raise ValueError(f"label must be +1 or -1, got {y!r}")
 
 
 @dataclass(frozen=True)
@@ -102,13 +95,6 @@ def composite_conditional_risk(cl: CompositeLoss, eta: float, v: float):
     if not cl.link.contains(v):
         raise ValueError(f"score {v!r} outside link range {cl.link.range}")
     return conditional_risk(cl.base, eta, cl.link.q(v))
-
-
-def _pointwise_risk(loss, eta, preds):
-    """Conditional risk at predictions: scores for a composite, probabilities otherwise."""
-    if isinstance(loss, CompositeLoss):
-        return _risk_terms(loss.base, eta, loss.link.q(preds))
-    return _risk_terms(loss, eta, preds)
 
 
 def score_gradients(cl: CompositeLoss, v: float) -> tuple[float, float]:

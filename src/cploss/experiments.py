@@ -20,10 +20,9 @@ from typing import Callable
 
 import numpy as np
 
-from .composite import _pointwise_risk
 from .numerics import (MinimizeResult, QuadratureSpec, array_fn, integrate, lambert_w0,
                        minimize_scalar)
-from .proper import ProperLoss, bayes_risk, catalog_loss
+from .proper import ProperLoss, _risk_terms, bayes_risk, catalog_loss
 
 __all__ = [
     "Experiment",
@@ -81,10 +80,10 @@ def affine_experiment() -> Experiment:
 
 
 def full_risk(exp: Experiment, loss, h: Callable) -> float:
-    """Marginal average of the conditional risk of predictor ``h``, to 1e-12."""
+    """Marginal average of the conditional risk of ``h`` (on the loss's scale), to 1e-12."""
 
     def integrand(xs):
-        return _pointwise_risk(loss, exp.eta(xs), h(xs))
+        return _risk_terms(loss, exp.eta(xs), h(xs))
 
     return integrate(integrand, 0.0, 1.0, _RISK_QUAD)
 

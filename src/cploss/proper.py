@@ -43,8 +43,20 @@ class ImpropernessError(ValueError):
     """A construction or check found the loss not to be proper."""
 
 
+class _Loss:
+    """Partials ``ell_pos(pred)``, ``ell_neg(pred)`` on the loss's scale: probability or score."""
+
+    def ell(self, y: int, pred):
+        """Loss of the prediction ``pred`` against label ``y`` in {-1, +1}."""
+        if y == 1:
+            return self.ell_pos(pred)
+        if y == -1:
+            return self.ell_neg(pred)
+        raise ValueError(f"label must be +1 or -1, got {y!r}")
+
+
 @dataclass(frozen=True)
-class ProperLoss:
+class ProperLoss(_Loss):
     """Partial losses on [0, 1] together with their weight function.
 
     ``ell_pos`` is the penalty for predicting ``etahat`` when the label is
@@ -63,14 +75,6 @@ class ProperLoss:
     def __post_init__(self):
         object.__setattr__(self, "ell_pos", array_fn(self.ell_pos))
         object.__setattr__(self, "ell_neg", array_fn(self.ell_neg))
-
-    def ell(self, y: int, etahat):
-        """Loss of predicting ``etahat`` against label ``y`` in {-1, +1}."""
-        if y == 1:
-            return self.ell_pos(etahat)
-        if y == -1:
-            return self.ell_neg(etahat)
-        raise ValueError(f"label must be +1 or -1, got {y!r}")
 
     def validate(self) -> None:
         """Probe fairness and nonnegativity on a small grid.
@@ -104,10 +108,8 @@ def from_weight(wf: WeightFunction) -> ProperLoss:
     losses of non-definite weights evaluate to +inf at the offending endpoint
     but remain usable on (0, 1).
     """
-    atoms = wf.atoms
-
     if wf.is_pure_atomic:
-        continuous_pos = continuous_neg = None
+        continuous_pos = continuous_neg = np.zeros_like
     elif wf.W is not None and wf.Wbar is not None:
         Wf, Wbar = wf.W, wf.Wbar
         wbar0 = float(Wbar(0.0))
@@ -132,18 +134,14 @@ def from_weight(wf: WeightFunction) -> ProperLoss:
         continuous_neg = antiderivative(lambda c: c * w(c), 0.0)
 
     def ell_pos(e):
-        total = np.zeros_like(e)
-        if continuous_pos is not None:
-            total = total + continuous_pos(e)
-        for c, m in atoms:
+        total = continuous_pos(e)
+        for c, m in wf.atoms:
             total = total + m * (1.0 - c) * (e < c)
         return total
 
     def ell_neg(e):
-        total = np.zeros_like(e)
-        if continuous_neg is not None:
-            total = total + continuous_neg(e)
-        for c, m in atoms:
+        total = continuous_neg(e)
+        for c, m in wf.atoms:
             total = total + m * c * (e >= c)
         return total
 
@@ -174,27 +172,33 @@ def catalog_loss(name: str, params: dict | None = None) -> ProperLoss:
     return from_weight(catalog_weight(name, params))
 
 
-def _risk_terms(loss, eta, etahat):
-    """eta*ell_pos(etahat) + (1-eta)*ell_neg(etahat), elementwise over arrays.
+def _risk_terms(loss, eta, pred):
+    """eta*ell_pos(pred) + (1-eta)*ell_neg(pred) elementwise, ``pred`` on the loss's own scale.
 
-    A term whose probability weight is zero is dropped before multiplying,
-    so a perfect deterministic prediction never produces 0*inf.  No range
-    checks: callers validate what comes from outside.
+    Each partial is read only where its term has positive weight (the whole
+    array when that is everywhere), so no 0*inf arises and no partial is read
+    at an end that carries no weight.  No range checks: callers validate.
     """
     eta = np.asarray(eta, dtype=float)
+    pred = np.asarray(pred, dtype=float)
+    total = np.zeros(np.broadcast_shapes(eta.shape, pred.shape))
     with np.errstate(all="ignore"):
-        lp = loss.ell_pos(etahat)
-        ln_ = loss.ell_neg(etahat)
-        return (np.where(eta > 0.0, eta * lp, 0.0)
-                + np.where(eta < 1.0, (1.0 - eta) * ln_, 0.0))
+        for partial, p in ((loss.ell_pos, eta), (loss.ell_neg, 1.0 - eta)):
+            live = p > 0.0
+            if live.all():
+                total += p * partial(pred)
+            elif live.any():
+                live, p, x = np.broadcast_arrays(live, p, pred)
+                total[live] += p[live] * partial(x[live])
+    return total
 
 
 def conditional_risk(loss, eta, etahat):
     """Expected loss eta*ell_pos(etahat) + (1-eta)*ell_neg(etahat).
 
-    Terms with zero probability weight are dropped before multiplying, so a
-    perfect deterministic prediction never produces 0*inf.  ``eta`` and
-    ``etahat`` broadcast; the result is a float when both are scalars.
+    A partial is read only where its term has positive weight, so a perfect
+    prediction never produces 0*inf.  ``eta`` and ``etahat`` broadcast; the
+    result is a float when both are scalars.
     """
     eta = np.asarray(eta, dtype=float)
     if not np.all((eta >= 0.0) & (eta <= 1.0)):

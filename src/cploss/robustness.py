@@ -17,8 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .composite import _pointwise_risk
-from .proper import _risk_terms
+from .proper import _Loss, _risk_terms
 from .weights import WeightFunction
 
 __all__ = [
@@ -54,25 +53,21 @@ def corrupt(eta: float, alpha: float):
 
 
 @dataclass(frozen=True)
-class NoisyLoss:
-    """Label-flip mixture of an evaluable loss: (1-a) ell(y,.) + a ell(-y,.)."""
+class NoisyLoss(_Loss):
+    """Label-flip mixture (1-a) ell(y,.) + a ell(-y,.), a in [0, 1/2): the base's
+    risk at eta = 1-a or a, which drops a term of zero weight (0 * inf is nan)."""
 
     base: object
     alpha: float
 
-    def ell(self, y: int, v):
-        # a term of zero weight is dropped, never multiplied: 0 * inf is nan
-        if self.alpha == 0.0:
-            return self.base.ell(y, v)
-        if self.alpha == 1.0:
-            return self.base.ell(-y, v)
-        return (1.0 - self.alpha) * self.base.ell(y, v) + self.alpha * self.base.ell(-y, v)
+    def __post_init__(self):
+        object.__setattr__(self, "alpha", _check_alpha(self.alpha))
 
     def ell_pos(self, v):
-        return self.ell(1, v)
+        return _risk_terms(self.base, 1.0 - self.alpha, v)
 
     def ell_neg(self, v):
-        return self.ell(-1, v)
+        return _risk_terms(self.base, self.alpha, v)
 
     def conditional_risk(self, eta: float, v):
         out = _risk_terms(self, float(eta), v)
@@ -81,17 +76,17 @@ class NoisyLoss:
 
 def noisy_loss(cl, alpha: float) -> NoisyLoss:
     """Mixture loss whose risk on clean eta equals the clean risk on eta_alpha."""
-    return NoisyLoss(base=cl, alpha=_check_alpha(alpha))
+    return NoisyLoss(base=cl, alpha=alpha)
 
 
 def minimizer_set(loss, eta: float, grid: Sequence[float]) -> np.ndarray:
-    """Grid points whose conditional risk is within 1e-12 (1 + |min|) of the minimum.
+    """Grid points (on the loss's scale) whose risk is within 1e-12 (1 + |min|) of the minimum.
 
     That is tight enough that the exact plateaus of piecewise-constant losses
     are recovered while smooth strictly proper losses give a near-singleton.
     """
     grid = np.asarray(grid, dtype=float)
-    risks = _pointwise_risk(loss, float(eta), grid)
+    risks = _risk_terms(loss, float(eta), grid)
     m = float(np.min(risks))
     return grid[risks <= m + 1e-12 * (1.0 + abs(m))]
 

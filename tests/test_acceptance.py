@@ -233,8 +233,8 @@ def test_criterion_7_score_gradient_checks():
         worst = 0.0
         for v in vs:
             d_pos, d_neg = score_gradients(cl, float(v))
-            fd_pos = finite_diff(lambda t: float(cl.ell_pos_v(np.asarray(t))), float(v), 1)
-            fd_neg = finite_diff(lambda t: float(cl.ell_neg_v(np.asarray(t))), float(v), 1)
+            fd_pos = finite_diff(lambda t: float(cl.ell_pos(np.asarray(t))), float(v), 1)
+            fd_neg = finite_diff(lambda t: float(cl.ell_neg(np.asarray(t))), float(v), 1)
             worst = max(worst,
                         abs(d_pos - fd_pos) / max(1e-12, abs(fd_pos)),
                         abs(d_neg - fd_neg) / max(1e-12, abs(fd_neg)))

@@ -21,6 +21,7 @@ from cploss.analysis import (
 from cploss.composite import composite_from_margin, logistic_margin, make_composite
 from cploss.expressions import compile_expression
 from cploss.links import canonical_link, catalog_link
+from cploss.numerics import NumericsError
 from cploss.proper import catalog_loss, cost_loss, from_weight, zero_one_loss
 from cploss.weights import WeightFunction, catalog_weight, tabulated_weight
 from weight_strategies import BETA_EXPONENTS, beta_expression
@@ -124,6 +125,13 @@ class TestConvexityCharacterization:
         with pytest.raises(StrictnessError):
             convexity_characterization(gap, catalog_link("identity"),
                                        np.linspace(0.4, 0.6, 21))
+
+    def test_a_reading_that_is_not_a_number_raises(self):
+        # at 5e-7 the offset x - 1e-6 is negative, where c^-1.5 is nan
+        wf = WeightFunction(w=compile_expression("c^-1.5"), name="c^-1.5")
+        with pytest.raises(NumericsError, match="x=5e-07"):
+            convexity_characterization(wf, catalog_link("identity"), [1e-4, 5e-7])
+        assert not convexity_characterization(wf, catalog_link("identity"), [1e-4]).convex
 
 
 # The expression twin of each closed-form catalog weight.

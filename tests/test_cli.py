@@ -125,6 +125,17 @@ class TestRisk:
                                 "--eta", "0.2", "--etahat", "0.7", "--regret"])
         assert doc["regret"] == pytest.approx(0.125)
 
+    @pytest.mark.parametrize("args", [["--eta", "0", "--etahat", "0"],
+                                      ["--eta", "1", "--etahat", "1"],
+                                      ["--eta", "0", "--bayes"]],
+                             ids=["0,0", "1,1", "bayes"])
+    def test_a_perfect_prediction_costs_nothing_for_an_expression_weight(self, runner, args):
+        # the quadrature partials diverge at the end whose term has no weight
+        docs = [run_json(runner, ["risk", "--loss", json.dumps({"weight": weight})] + args)
+                for weight in ({"expr": "1/(c*(1-c))"}, {"name": "log"})]
+        assert docs[0] == docs[1]
+        assert docs[0].get("risk", docs[0].get("bayes_risk")) == 0.0
+
     def test_out_of_range_is_usage_error(self, runner):
         result = runner.invoke(main, ["risk", "--loss", '{"weight":{"name":"square"}}',
                                       "--eta", "1.5", "--etahat", "0.3"])

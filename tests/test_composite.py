@@ -38,13 +38,13 @@ class TestMakeComposite:
     def test_log_logit_is_logistic_margin(self):
         cl = make_composite(catalog_loss("log"), catalog_link("logit"))
         vs = np.linspace(-8, 8, 65)
-        assert np.allclose(np.asarray(cl.ell_pos_v(vs)), np.log1p(np.exp(-vs)), atol=1e-12)
-        assert np.allclose(np.asarray(cl.ell_neg_v(vs)), np.log1p(np.exp(vs)), atol=1e-12)
+        assert np.allclose(np.asarray(cl.ell_pos(vs)), np.log1p(np.exp(-vs)), atol=1e-12)
+        assert np.allclose(np.asarray(cl.ell_neg(vs)), np.log1p(np.exp(vs)), atol=1e-12)
 
     def test_square_identity_is_itself(self):
         cl = make_composite(catalog_loss("square"), catalog_link("identity"))
         es = np.linspace(0.0, 1.0, 21)
-        assert np.allclose(np.asarray(cl.ell_pos_v(es)), (1 - es) ** 2 / 2)
+        assert np.allclose(np.asarray(cl.ell_pos(es)), (1 - es) ** 2 / 2)
 
     def test_canonical_pairing_has_unit_rho(self):
         wf = catalog_weight("log")
@@ -55,14 +55,14 @@ class TestMakeComposite:
         canonical = make_composite(catalog_loss("log"), canonical_link(catalog_weight("log")))
         logit = make_composite(catalog_loss("log"), catalog_link("logit"))
         vs = np.linspace(-5, 5, 21)
-        assert np.max(np.abs(np.asarray(canonical.ell_pos_v(vs))
-                             - np.asarray(logit.ell_pos_v(vs)))) <= 1e-8
-        assert np.max(np.abs(np.asarray(canonical.ell_neg_v(vs))
-                             - np.asarray(logit.ell_neg_v(vs)))) <= 1e-8
+        assert np.max(np.abs(np.asarray(canonical.ell_pos(vs))
+                             - np.asarray(logit.ell_pos(vs)))) <= 1e-8
+        assert np.max(np.abs(np.asarray(canonical.ell_neg(vs))
+                             - np.asarray(logit.ell_neg(vs)))) <= 1e-8
 
     def test_atom_weight_blocks_rho_but_not_evaluation(self):
         cl = make_composite(cost_loss(0.4), catalog_link("identity"))
-        assert float(cl.ell_neg_v(np.asarray(0.5))) == pytest.approx(0.4)
+        assert float(cl.ell_neg(np.asarray(0.5))) == pytest.approx(0.4)
         with pytest.raises(ValueError):
             cl.rho
         with pytest.raises(ValueError):
@@ -144,8 +144,8 @@ class TestScoreGradients:
         interior = (vs > cl.link.range[0] + 1e-4) & (vs < cl.link.range[1] - 1e-4)
         for v in vs[interior][::7]:
             d_pos, d_neg = score_gradients(cl, float(v))
-            fd_pos = finite_diff(lambda t: float(cl.ell_pos_v(np.asarray(t))), float(v), 1)
-            fd_neg = finite_diff(lambda t: float(cl.ell_neg_v(np.asarray(t))), float(v), 1)
+            fd_pos = finite_diff(lambda t: float(cl.ell_pos(np.asarray(t))), float(v), 1)
+            fd_neg = finite_diff(lambda t: float(cl.ell_neg(np.asarray(t))), float(v), 1)
             assert d_pos == pytest.approx(fd_pos, rel=1e-6, abs=1e-8)
             assert d_neg == pytest.approx(fd_neg, rel=1e-6, abs=1e-8)
 

@@ -1,6 +1,7 @@
 """The callable contract: every callable a cploss object holds maps float
 arrays to float arrays of the same shape, silently, and is wrapped once.
-Also the list of public settings that have a default."""
+The loss protocol: proper, composite and noisy losses answer to the same
+two partials.  Also the list of public settings that have a default."""
 
 import dataclasses
 import inspect
@@ -28,7 +29,13 @@ from cploss.composite import (
     make_composite,
     zhang_margin,
 )
-from cploss.experiments import affine_experiment, minimal_loss, quadratic_experiment
+from cploss.experiments import (
+    Experiment,
+    affine_experiment,
+    full_risk,
+    minimal_loss,
+    quadratic_experiment,
+)
 from cploss.expressions import compile_expression
 from cploss.links import LINK_CATALOG_INFO, canonical_link, catalog_link
 from cploss.numerics import NumericsError, array_fn
@@ -40,6 +47,7 @@ from cploss.proper import (
     weight_from_loss,
     zero_one_loss,
 )
+from cploss.robustness import NoisyLoss, corrupt, minimizer_set, noisy_loss
 from cploss.weights import (
     WEIGHT_CATALOG_INFO,
     WeightFunction,
@@ -76,6 +84,8 @@ def _objects() -> dict:
     out.update({f"composite:{name}@canonical": make_composite(out[f"loss:{name}"],
                                                               out[f"canonical:{name}"])
                 for name in weights if f"canonical:{name}" in out})
+    out["noisy:log"] = noisy_loss(out["loss:log"], 0.1)
+    out["noisy:log@logit"] = noisy_loss(out["composite:log@logit"], 0.1)
     out["normalized:boosting"] = normalize_weight(weights["boosting"])
     out["weight-from-loss:log"] = weight_from_loss(catalog_loss("log"))
     with warnings.catch_warnings():
@@ -154,6 +164,58 @@ def test_replace_keeps_the_same_callables(label):
     copy = dataclasses.replace(obj)
     for name, fn in _held(obj):
         assert getattr(copy, name) is fn
+
+
+LOSSES = {label: obj for label, obj in OBJECTS.items() if hasattr(obj, "ell")}
+
+
+def _predictions(loss) -> np.ndarray:
+    """Two predictions on the loss's own scale: 0.3 and 0.6, or their scores."""
+    inner = loss.base if isinstance(loss, NoisyLoss) else loss
+    probs = np.array([0.3, 0.6])
+    return inner.link.psi(probs) if isinstance(inner, CompositeLoss) else probs
+
+
+def test_every_kind_of_loss_is_covered():
+    kinds = {type(obj).__name__ + (f"({type(obj.base).__name__})"
+                                   if isinstance(obj, NoisyLoss) else "")
+             for obj in LOSSES.values()}
+    assert kinds == {"ProperLoss", "CompositeLoss",
+                     "NoisyLoss(ProperLoss)", "NoisyLoss(CompositeLoss)"}
+
+
+@pytest.mark.parametrize("label", list(LOSSES))
+def test_ell_is_the_partial_of_its_label(label):
+    loss = LOSSES[label]
+    x = _predictions(loss)
+    assert np.array_equal(loss.ell(1, x), loss.ell_pos(x))
+    assert np.array_equal(loss.ell(-1, x), loss.ell_neg(x))
+    with pytest.raises(ValueError, match="label"):
+        loss.ell(0, x)
+
+
+@pytest.mark.parametrize("label", ["composite:log@logit", "composite:log@canonical",
+                                   "margin-composite:logistic",
+                                   "margin-composite:exponential"])
+def test_a_noisy_composite_at_eta_is_the_clean_one_at_the_corrupted_eta(label):
+    # the identity of the robustness module, read through scores
+    cl, alpha = OBJECTS[label], 0.2
+    noisy = noisy_loss(cl, alpha)
+    scores = cl.link.psi(np.linspace(0.01, 0.99, 99))
+    for eta in (0.0, 0.15, 0.5, 0.8, 1.0):
+        assert np.array_equal(minimizer_set(noisy, eta, scores),
+                              minimizer_set(cl, corrupt(eta, alpha), scores))
+    exp = quadratic_experiment()
+    corrupted = Experiment(eta=lambda x: corrupt(exp.eta(x), alpha), name="corrupted")
+    h = lambda x: 2.0 * x - 1.0   # scores in [-1, 1]
+    assert full_risk(exp, noisy, h) == pytest.approx(full_risk(corrupted, cl, h),
+                                                     rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("alpha", [-0.1, 0.5, 0.7])
+def test_a_noisy_loss_checks_its_rate(alpha):
+    with pytest.raises(ValueError, match="noise level"):
+        NoisyLoss(OBJECTS["composite:log@logit"], alpha)
 
 
 # Every public setting that has a default: a field of a public dataclass, or

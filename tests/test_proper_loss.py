@@ -162,6 +162,20 @@ class TestRisks:
         with pytest.raises(ValueError):
             conditional_risk(loss, np.array([0.2, 1.5]), 0.5)
 
+    def test_each_partial_is_read_only_where_its_term_has_weight(self):
+        # the quadrature partials of 1/(c(1-c)) diverge at the ends, where the
+        # other term carries all the weight
+        loss = from_weight(WeightFunction(w=compile_expression("1/(c*(1-c))"), name="log-expr"))
+        etas = np.array([0.0, 1.0, 0.3, 0.0, 0.7, 1.0])
+        got = conditional_risk(loss, etas, etas)
+        want = conditional_risk(catalog_loss("log"), etas, etas)
+        assert got[0] == got[1] == got[3] == got[5] == 0.0
+        assert np.allclose(got, want, rtol=1e-9, atol=0.0)
+        # one prediction against every eta
+        got = conditional_risk(loss, etas, 0.5)
+        assert got.shape == etas.shape
+        assert np.allclose(got, math.log(2.0), rtol=1e-9, atol=0.0)
+
     def test_range_validation(self):
         with pytest.raises(ValueError):
             conditional_risk(catalog_loss("square"), 1.2, 0.5)

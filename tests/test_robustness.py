@@ -50,7 +50,7 @@ class TestNoisyLoss:
         cl = make_composite(catalog_loss("log"), catalog_link("logit"))
         noisy = noisy_loss(cl, 0.0)
         vs = np.linspace(-3, 3, 13)
-        assert np.allclose(np.asarray(noisy.ell_pos(vs)), np.asarray(cl.ell_pos_v(vs)))
+        assert np.allclose(np.asarray(noisy.ell_pos(vs)), np.asarray(cl.ell_pos(vs)))
 
     def test_square_mixture_value(self):
         cl = make_composite(catalog_loss("square"), catalog_link("identity"))
