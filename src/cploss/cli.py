@@ -30,7 +30,7 @@ import click
 import numpy as np
 
 from . import analysis, composite, experiments, robustness
-from .expressions import ExpressionError, compile_expression
+from .expressions import ExpressionError, compile_expression, expression_knots
 from .links import LINK_CATALOG_INFO, Link, canonical_link, catalog_link
 from .numerics import NumericsError
 from .proper import bayes_risk, conditional_risk, from_weight, reconstruct_symmetric, regret
@@ -126,7 +126,8 @@ def _build_weight(doc: dict) -> WeightFunction:
     if "table" in entry:
         return tabulated_weight(entry["table"])
     if "expr" in entry:
-        return WeightFunction(w=_build_callable(entry, "weight"), name=f"expr({entry['expr']})")
+        return WeightFunction(w=_build_callable(entry, "weight"), name=f"expr({entry['expr']})",
+                              knots=expression_knots(entry["expr"]))
     raise click.UsageError("weight entry needs 'name', 'table' or 'expr'")
 
 

@@ -271,8 +271,8 @@ def duality_residual(W: Callable, x: float, y: float) -> float:
     W_inv = numeric_inverse(W)
     x, y = float(x), float(y)
     Wx, Wy, W_half = W(np.array([x, y, 0.5]))
-    Gx, Gy = antiderivative(W, 0.5)(np.array([x, y]))
-    Hx, Hy = antiderivative(W_inv, float(W_half))(np.array([Wx, Wy]))
+    Gx, Gy = antiderivative(W, 0.5, ())(np.array([x, y]))
+    Hx, Hy = antiderivative(W_inv, float(W_half), ())(np.array([Wx, Wy]))
     lhs = Gx - Gy - (x - y) * Wy
     rhs = Hy - Hx - (Wy - Wx) * float(W_inv(Wx))
     return float(abs(lhs - rhs))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .numerics import array_fn
 
-__all__ = ["compile_expression", "ExpressionError"]
+__all__ = ["compile_expression", "expression_knots", "ExpressionError"]
 
 
 class ExpressionError(ValueError):
@@ -116,3 +116,30 @@ def compile_expression(source: str) -> Callable:
     fn = array_fn(lambda c: body(c) + np.zeros_like(c))
     fn.__doc__ = f"expression: {source}"
     return fn
+
+
+def expression_knots(source: str) -> tuple[float, ...]:
+    """The kinks of ``source`` at its ``min`` and ``max``, sorted: for each
+    ``min(a, b)`` or ``max(a, b)``, the isolated zeros of the switch ``a - b``
+    on the grid ``k/1024`` and its sign changes there, bisected to adjacent
+    floats.  Values that are not finite are left out, and a switch that is 0
+    throughout gives none.  Other kinks, as in ``sqrt((c-0.5)^2)``, are not found."""
+    compile_expression(source)   # the grammar check, and its errors
+    knots, grid = set(), np.arange(1, 1024) / 1024.0
+    for node in ast.walk(ast.parse(source.replace("^", "**"), mode="eval")):
+        if isinstance(node, ast.Call) and node.func.id in ("min", "max"):
+            first, second = map(_compile_node, node.args)
+            switch = array_fn(lambda c: first(c) - second(c) + np.zeros_like(c))
+            d = switch(grid)
+            x, d = grid[np.isfinite(d)], d[np.isfinite(d)]
+            zero = np.concatenate([[False], d == 0, [False]])
+            knots.update(x[zero[1:-1] & ~zero[:-2] & ~zero[2:]].tolist())
+            change = np.sign(d[:-1]) * np.sign(d[1:]) < 0
+            lo, hi, side = x[:-1][change], x[1:][change], np.sign(d[:-1][change])
+            mid = 0.5 * (lo + hi)
+            while np.any((lo < mid) & (mid < hi)):
+                left = np.sign(switch(mid)) == side   # the switch changes sign right of mid
+                lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+                mid = 0.5 * (lo + hi)
+            knots.update(hi.tolist())
+    return tuple(sorted(knots))

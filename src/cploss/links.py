@@ -242,14 +242,14 @@ def canonical_link(wf: WeightFunction) -> Link:
     steps: each costs one evaluation of ``psi`` and one of ``w``.  ``psi`` is
     the weight's own ``W`` when it has one (the catalog weights, and the
     exact piecewise-quadratic ``W`` of a table), else
-    ``antiderivative(w, 1/2)``, all points in one lockstep quadrature; the
+    ``antiderivative(w, 1/2, knots)``, all points in one lockstep quadrature; the
     weight is neither rebuilt nor checked again.  The domain of ``q`` is the
     end rule of :func:`numeric_inverse`, and the score range is ``psi`` at
     its two ends.
     """
     if wf.has_atoms:
         raise ValueError("canonical link is undefined for weights with atoms")
-    W = wf.W if wf.W is not None else array_fn(antiderivative(wf.w, 0.5))
+    W = wf.W if wf.W is not None else array_fn(antiderivative(wf.w, 0.5, wf.knots))
     W_half = float(W(0.5))
     psi = lambda x: W(x) - W_half
     q = numeric_inverse(psi, dpsi=wf.w)

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .numerics import NumericsError, antiderivative, array_fn, finite_diff, integrate
+from .numerics import NumericsError, antiderivative, array_fn, finite_diff
 from .weights import WeightFunction, catalog_weight, tabulated_weight
 
 __all__ = [
@@ -104,9 +104,9 @@ def from_weight(wf: WeightFunction) -> ProperLoss:
 
     Closed antiderivatives are used when the weight carries them (the
     catalog weights and tables); otherwise the partial-loss integrals are
-    evaluated by quadrature.  Atoms contribute exact step terms.  Partial
-    losses of non-definite weights evaluate to +inf at the offending endpoint
-    but remain usable on (0, 1).
+    evaluated by quadrature, split at the weight's ``knots``.  Atoms
+    contribute exact step terms.  Partial losses of non-definite weights
+    evaluate to +inf at the offending endpoint but remain usable on (0, 1).
     """
     if wf.is_pure_atomic:
         continuous_pos = continuous_neg = np.zeros_like
@@ -130,8 +130,8 @@ def from_weight(wf: WeightFunction) -> ProperLoss:
         # antiderivative of -(1-c) w anchored at 1; ell_neg(e) = integral of
         # c w(c) over [0, e].
         w = wf.w
-        continuous_pos = antiderivative(lambda c: -(1.0 - c) * w(c), 1.0)
-        continuous_neg = antiderivative(lambda c: c * w(c), 0.0)
+        continuous_pos = antiderivative(lambda c: -(1.0 - c) * w(c), 1.0, wf.knots)
+        continuous_neg = antiderivative(lambda c: c * w(c), 0.0, wf.knots)
 
     def ell_pos(e):
         total = continuous_pos(e)
@@ -248,30 +248,20 @@ def schervish_check(loss, y: int, etahat: float) -> float:
 
     Returns ``integral over c of ell_c(y, etahat) * w(c) dc`` plus the atom
     contributions; for a fair proper loss this reproduces the partial loss.
-    The integral is taken piece by piece between the weight's ``knots``
-    inside its interval, all pieces in one array call of
-    :func:`~cploss.numerics.integrate`, so quadrature never spans a kink or
-    jump of a table.  A divergent piece raises its
-    :class:`~cploss.numerics.IntegrationError`.
+    The integral splits at the weight's ``knots``; a divergent piece raises
+    its :class:`~cploss.numerics.IntegrationError`.
     """
     if y not in (1, -1):
         raise ValueError("y must be +1 or -1")
     etahat = float(etahat)
     wf = loss.weight
-    atom_term = 0.0
-    for c, m in wf.atoms:
-        if y == -1:
-            atom_term += m * c * (etahat >= c)
-        else:
-            atom_term += m * (1.0 - c) * (etahat < c)
     if y == -1:
-        f = lambda c: c * wf.w(c)
-        a, b = 0.0, etahat
+        F = antiderivative(lambda c: c * wf.w(c), 0.0, wf.knots)
+        atom_term = sum(m * c * (etahat >= c) for c, m in wf.atoms)
     else:
-        f = lambda c: (1.0 - c) * wf.w(c)
-        a, b = etahat, 1.0
-    edges = [a, *sorted(k for k in wf.knots if a < k < b), b]
-    return float(np.sum(integrate(f, edges[:-1], edges[1:]))) + atom_term
+        F = antiderivative(lambda c: -(1.0 - c) * wf.w(c), 1.0, wf.knots)
+        atom_term = sum(m * (1.0 - c) * (etahat < c) for c, m in wf.atoms)
+    return float(F(etahat)) + atom_term
 
 
 def _weight_readings(ell_pos: Callable, ell_neg: Callable, xs: Sequence[float]):
@@ -331,7 +321,7 @@ def reconstruct_symmetric(half: Callable, side: str) -> ProperLoss:
         raise ValueError("side must be 'lower' or 'upper'")
     half = array_fn(half)
     twice_mid = 2.0 * float(half(0.5))
-    G = antiderivative(lambda u: half(u) / (u * u), 0.5)  # G(m): integral from 1/2 to m
+    G = antiderivative(lambda u: half(u) / (u * u), 0.5, ())  # G(m): integral from 1/2 to m
 
     def ell_neg(e):
         given = (e <= 0.5) if side == "lower" else (e >= 0.5)

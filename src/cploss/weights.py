@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import NumericsError, QuadratureSpec, array_fn, integrate
+from .numerics import NumericsError, QuadratureSpec, _by_pieces, array_fn, integrate
 
 __all__ = [
     "WeightFunction",
@@ -37,20 +37,15 @@ _CHECK_H = 1e-5
 _CHECK_QUADRATURE = QuadratureSpec(abs_tol=1e-8 * 2.0 * _CHECK_H, rel_tol=1e-8)
 
 
-def _means(integrals: Callable, edges: list[list[float]]) -> np.ndarray:
-    """Mean of a function from ``es[0]`` to ``es[-1]`` for each ``es`` of
-    ``edges``, from ``integrals(p, q)``, its integrals over the pieces ``[p,
-    q]`` between consecutive edges of all, in one call; NaN for each ``es``
-    where that raises :class:`NumericsError`, found one ``es`` at a time."""
-    p = np.array([a for es in edges for a in es[:-1]])
-    q = np.array([b for es in edges for b in es[1:]])
-    owner = np.repeat(np.arange(len(edges)), [len(es) - 1 for es in edges])
+def _means(integrals: Callable, lo: np.ndarray, hi: np.ndarray, knots) -> np.ndarray:
+    """Mean over each ``[lo_i, hi_i]`` of the function whose integrals are
+    ``integrals(p, q)``, split at the ``knots``; NaN for each interval where
+    that raises :class:`NumericsError`, found one interval at a time."""
     try:
-        total = np.bincount(owner, integrals(p, q))
+        return _by_pieces(integrals, lo, hi, knots) / (hi - lo)
     except NumericsError:
-        return np.array([math.nan] if len(edges) == 1 else
-                        [_means(integrals, [es])[0] for es in edges])
-    return total / np.array([es[-1] - es[0] for es in edges])
+        return np.array([math.nan] if len(lo) == 1 else
+                        [_means(integrals, a, b, knots)[0] for a, b in zip(lo[:, None], hi[:, None])])
 
 
 def _simpson(F: Callable) -> Callable:
@@ -86,8 +81,8 @@ class WeightFunction:
     atoms : sequence of (location, mass)
         Point masses in (0, 1) with positive mass.
     knots : sequence of float
-        Points where ``w`` may jump or kink, as at the rows of a table; the
-        checks above take their means piecewise between them.
+        Finite points where ``w`` may jump or kink, as at the rows of a
+        table, held sorted and without repeats: every integral of ``w`` splits at them.
     """
 
     w: Callable
@@ -101,7 +96,9 @@ class WeightFunction:
         for field in ("w", "W", "Wbar"):
             object.__setattr__(self, field, array_fn(getattr(self, field)))
         object.__setattr__(self, "atoms", tuple((float(c), float(m)) for c, m in self.atoms))
-        object.__setattr__(self, "knots", tuple(float(k) for k in self.knots))
+        object.__setattr__(self, "knots", tuple(sorted({float(k) for k in self.knots})))
+        if not all(math.isfinite(k) for k in self.knots):
+            raise ValueError(f"knots must be finite, got {self.knots}")
         for c, m in self.atoms:
             if not 0.0 < c < 1.0:
                 raise ValueError(f"atom location must lie in (0,1), got {c}")
@@ -120,27 +117,19 @@ class WeightFunction:
             mass = float(trapezoid(pv, probe))
         if not np.isfinite(mass):
             raise ValueError(f"weight {self.name!r} has non-integrable interior mass")
-        # Supplied antiderivatives must differentiate back to their integrands.
-        # (F(x+h) - F(x-h)) / 2h is exactly the mean of F' over [x-h, x+h]:
-        # of w for W, and of W for Wbar.  Both means are taken piecewise
-        # between the knots inside, so that a kink or jump of w at a knot
-        # anywhere in the interval costs no accuracy: that of w by
-        # quadrature, that of W by Simpson's rule, exact for the piecewise-
-        # quadratic W of a table.  w(x) would be off by h/4 times the jump in
-        # w' at a knot on the grid, W(x) by h/4 times a jump in w there, and
-        # quadrature across a knot misses a jump between its outermost node
-        # and x +- h.  The pieces of all grid points take one array quadrature.
+        # (F(x+h) - F(x-h)) / 2h is exactly the mean of F' over [x-h, x+h]; w(x)
+        # or W(x) would be off by h/4 times a jump in w' or w at a knot on the grid.
         if self.Wbar is not None and self.W is None:
             raise ValueError("Wbar supplied without W")
         if self.W is None:
             return
         x = _CHECK_GRID
         lo, hi = x - _CHECK_H, x + _CHECK_H
-        edges = [[a, *sorted(k for k in self.knots if a < k < b), b] for a, b in zip(lo, hi)]
         quadrature = lambda p, q: integrate(self.w, p, q, _CHECK_QUADRATURE)
-        checks = [(self.W, _means(quadrature, edges), "W inconsistent with w")]
+        checks = [(self.W, _means(quadrature, lo, hi, self.knots), "W inconsistent with w")]
         if self.Wbar is not None:
-            checks.append((self.Wbar, _means(_simpson(self.W), edges), "Wbar inconsistent with W"))
+            checks.append((self.Wbar, _means(_simpson(self.W), lo, hi, self.knots),
+                           "Wbar inconsistent with W"))
         for F, want, label in checks:
             got = (F(hi) - F(lo)) / (hi - lo)
             bad = ~(np.abs(got - want) <= 1e-6 * np.maximum(1.0, np.abs(want)))
@@ -248,9 +237,7 @@ def tabulated_weight(table: Sequence[Sequence[float]], name: str = "custom-tabul
 
         W = C_i + y_i d + s_i d^2/2,  Wbar = D_i + C_i d + y_i d^2/2 + s_i d^3/6,
 
-    so a table's values never reach quadrature.  The rows are its ``knots``,
-    between which the construction checks of :class:`WeightFunction` take
-    their means.
+    so a table's values never reach quadrature.  The rows are its ``knots``.
     """
     arr = _table(table)
     if np.any(arr[:, 1] < 0):

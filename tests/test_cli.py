@@ -247,12 +247,8 @@ class TestCheckConvexity:
 
     @pytest.mark.parametrize("method", [[], ["--oracle"]], ids=["characterization", "oracle"])
     @pytest.mark.parametrize("expr", ["1/c", "1/(1-c)", "0.5*min(1/c,1/(1-c))", "1"])
-    def test_expression_weight_on_a_bound_is_convex(self, runner, expr, method, request):
+    def test_expression_weight_on_a_bound_is_convex(self, runner, expr, method):
         # with the identity link x rho or (1-x) rho of these weights is constant
-        if method and "min" in expr:
-            request.applymarker(pytest.mark.xfail(strict=True, reason=(
-                "quadrature partials of this kinked weight are off by up to 4e-6 next to "
-                "the kink, which the oracle's second differences read as violations")))
         spec = json.dumps({"weight": {"expr": expr}, "link": {"name": "identity"}})
         result = runner.invoke(main, ["check-convexity", "--loss", spec, "--strict", *method])
         assert result.exit_code == 0, result.output

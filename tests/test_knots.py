@@ -1,0 +1,173 @@
+"""Knots: the points where a weight may jump or kink.
+
+Every integral of a weight splits at its knots: quadrature partials, the
+``psi`` of a canonical link and the Schervish mixture.  Expression weights
+declare the kinks of their ``min`` and ``max``.  The generated property
+checks min/max envelopes of Beta members against an mpmath reference that
+finds the crossing itself and shares no code with the library.
+"""
+
+import math
+
+import mpmath as mp
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+
+from cploss.cli import _build_weight
+from cploss.expressions import ExpressionError, compile_expression, expression_knots
+from cploss.links import canonical_link
+from cploss.proper import from_weight, schervish_check
+from cploss.weights import WeightFunction
+from weight_strategies import BETA_ENVELOPES, beta_source
+
+XS = np.linspace(0.01, 0.99, 99)
+
+
+class TestExpressionKnots:
+    @pytest.mark.parametrize("source,want", [
+        ("min(1/c,1/(1-c))", (0.5,)),                 # an exact zero on the grid
+        ("0.5*min(1/c,1/(1-c))", (0.5,)),
+        ("min(1,max(2*c,0.3))", (0.15, 0.5)),         # nested: one knot from each
+        ("max(c,0.5)+max(0.5,c)", (0.5,)),            # the same knot twice is one
+    ])
+    def test_switch_points(self, source, want):
+        assert expression_knots(source) == pytest.approx(want, rel=1e-15)
+
+    def test_sign_change_is_bisected_to_a_float_neighbour(self):
+        (k,) = expression_knots("max(1,3*c)")
+        assert abs(k - 1 / 3) <= 4 * math.ulp(1 / 3)
+
+    @pytest.mark.parametrize("source", [
+        "c^-0.5*(1-c)^0.3",       # no min or max
+        "max(c,c)",               # a switch that is zero throughout
+        "min(c,2)",               # no switch inside (0, 1)
+        "max(log(c-0.5),0)",      # NaN left of 1/2; the switch crosses zero at 1.5
+        "sqrt((c-0.5)^2)",        # a kink of another kind is not found
+    ])
+    def test_no_knot(self, source):
+        assert expression_knots(source) == ()
+
+    def test_rejects_what_compiling_rejects(self):
+        with pytest.raises(ExpressionError, match="unknown variable 'x'"):
+            expression_knots("min(x, c)")
+
+    def test_the_cli_declares_them(self):
+        wf = _build_weight({"weight": {"expr": "0.5*min(1/c,1/(1-c))"}})
+        assert wf.knots == (0.5,)
+
+
+class TestKnotsAreNormalised:
+    def test_sorted_without_repeats(self):
+        wf = WeightFunction(w=np.ones_like, knots=(0.7, 0.2, 0.7, np.float64(0.2), 0.5))
+        assert wf.knots == (0.2, 0.5, 0.7)
+        assert all(type(k) is float for k in wf.knots)
+
+    @pytest.mark.parametrize("knot", [math.nan, math.inf, -math.inf])
+    def test_a_knot_must_be_finite(self, knot):
+        with pytest.raises(ValueError, match="knots must be finite"):
+            WeightFunction(w=np.ones_like, knots=(0.3, knot))
+
+
+# w = max(1, 3c), kinked at 1/3: exact integrals, with W(1/3) = 1/3.
+def _kink_W(x):
+    return np.where(x <= 1 / 3, x, 1.5 * x * x + 1 / 6)
+
+
+def _kink_ell_neg(e):     # integral of c w(c) over [0, e]
+    return np.where(e <= 1 / 3, e * e / 2, e ** 3 + 1 / 54)
+
+
+def _kink_ell_pos(e):     # integral of (1-c) w(c) over [e, 1]
+    G = np.where(e <= 1 / 3, e - e * e / 2, 1.5 * e * e - e ** 3 + 4 / 27)
+    return 0.5 + 4 / 27 - G
+
+
+# w = 1 + (c > 0.3), a jump at 0.3.
+def _jump_ell_neg(e):
+    return np.where(e <= 0.3, e * e / 2, e * e - 0.045)
+
+
+def _jump_ell_pos(e):
+    G = np.where(e <= 0.3, e - e * e / 2, 2 * e - e * e - 0.255)
+    return 0.745 - G
+
+
+class TestDeclaredKnotsAreHonoured:
+    @pytest.mark.parametrize("w, knots", [
+        (lambda c: np.maximum(1.0, 3.0 * c), (1 / 3,)),
+        (compile_expression("max(1,3*c)"), expression_knots("max(1,3*c)")),
+    ], ids=["declared", "found"])
+    def test_kink_off_the_anchor(self, w, knots):
+        wf = WeightFunction(w=w, knots=knots, name="kink")
+        psi = canonical_link(wf).psi(XS)
+        assert np.max(np.abs(psi - (_kink_W(XS) - _kink_W(0.5)))) <= 1e-12
+        loss = from_weight(wf)
+        assert np.max(np.abs(loss.ell_neg(XS) - _kink_ell_neg(XS))) <= 1e-12
+        assert np.max(np.abs(loss.ell_pos(XS) - _kink_ell_pos(XS))) <= 1e-12
+
+    def test_jump(self):
+        wf = WeightFunction(w=lambda c: 1.0 + (c > 0.3), knots=(0.3,), name="jump")
+        link = canonical_link(wf)
+        assert np.max(np.abs(link.q(link.psi(XS)) - XS)) <= 1e-9
+        loss = from_weight(wf)
+        assert np.max(np.abs(loss.ell_neg(XS) - _jump_ell_neg(XS))) <= 1e-12
+        assert np.max(np.abs(loss.ell_pos(XS) - _jump_ell_pos(XS))) <= 1e-12
+        for e in (0.1, 0.3, 0.65):
+            assert schervish_check(loss, -1, e) == pytest.approx(_jump_ell_neg(e), abs=1e-12)
+            assert schervish_check(loss, 1, e) == pytest.approx(_jump_ell_pos(e), abs=1e-12)
+
+
+# -- generated property: Beta envelopes against an independent mpmath oracle --
+
+PARTIAL_POINTS = (0.1, 0.45, 0.9)
+# c = u^K near 0 and 1 - c = u^K near 1 give c^p, p > -1, the integrand
+# u^(K(p+1)-1), bounded for K = 10: tanh-sinh loses no end mass.  The
+# integrand takes c and 1 - c apart, as 1 - u^K would round to 1.
+_K = 10
+
+
+def _mp_integral(f, edges):
+    """The integral of ``f(c, 1 - c)`` over consecutive ``edges`` in [0, 1]."""
+    total = mp.mpf(0)
+    for p, q in zip(edges[:-1], edges[1:]):
+        if p == 0:
+            total += mp.quad(lambda u: f(u ** _K, 1 - u ** _K) * _K * u ** (_K - 1),
+                             [0, q ** (mp.mpf(1) / _K)])
+        elif q == 1:
+            total += mp.quad(lambda u: f(1 - u ** _K, u ** _K) * _K * u ** (_K - 1),
+                             [0, (1 - p) ** (mp.mpf(1) / _K)])
+        else:
+            total += mp.quad(lambda c: f(c, 1 - c), [p, q])
+    return total
+
+
+def _mp_envelope_partials(op, a1, b1, a2, b2):
+    """(ell_pos, ell_neg) at PARTIAL_POINTS, split where the two members cross."""
+    with mp.workdps(30):
+        a1, b1, a2, b2 = map(mp.mpf, (a1, b1, a2, b2))
+        pick = min if op == "min" else max
+        w = lambda c, d: pick(c ** (a1 - 1) * d ** (b1 - 1), c ** (a2 - 1) * d ** (b2 - 1))
+        # log B1 - log B2: monotone, with a root in (0, 1) where its ends differ in sign
+        g = lambda c: (a1 - a2) * mp.log(c) + (b1 - b2) * mp.log1p(-c)
+        lo, hi = mp.mpf(10) ** -25, 1 - mp.mpf(10) ** -25
+        cuts = [mp.findroot(g, (lo, hi), solver="illinois", verify=False)] if g(lo) * g(hi) < 0 else []
+        out = []
+        for e in map(mp.mpf, PARTIAL_POINTS):
+            pos = _mp_integral(lambda c, d: d * w(c, d), [e, *[k for k in cuts if k > e], 1])
+            neg = _mp_integral(lambda c, d: c * w(c, d), [0, *[k for k in cuts if k < e], e])
+            out.append((float(pos), float(neg)))
+    return np.array(out)
+
+
+@settings(max_examples=15, deadline=None)
+@given(BETA_ENVELOPES)
+@example(("max", 2.4438766786915203, -0.769016256308689, 1.9456562410767817, -0.2149430796500198))
+@example(("min", -0.9, 3.0, 3.0, -0.9))
+def test_envelope_partials_match_mpmath(envelope):
+    op, a1, b1, a2, b2 = envelope
+    wf = _build_weight({"weight": {"expr": f"{op}({beta_source(a1, b1)}, {beta_source(a2, b2)})"}})
+    loss = from_weight(wf)
+    pts = np.array(PARTIAL_POINTS)
+    got = np.stack([loss.ell_pos(pts), loss.ell_neg(pts)], axis=1)
+    assert got == pytest.approx(_mp_envelope_partials(op, a1, b1, a2, b2), rel=1e-9)
