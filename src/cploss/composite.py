@@ -121,11 +121,20 @@ def composite_regret(cl: CompositeLoss, eta: float, v: float) -> float:
     return regret(cl.base, eta, float(cl.link.q(v)))
 
 
-def _link_from_q(q: Callable, v_range: tuple[float, float], name: str) -> Link:
-    # q is probed and inverted before the link that holds it exists
-    q = array_fn(q)
-    lo, hi = v_range
-    probe = np.linspace(lo, hi, 512)
+def _gap_link(lam_pos_prime: Callable, lam_neg_prime: Callable,
+              v_range: tuple[float, float], name: str) -> Link:
+    # q(v) = lam_neg'(v) / (lam_neg'(v) - lam_pos'(v)), checked and inverted here
+    lam_pos_prime, lam_neg_prime = array_fn(lam_pos_prime), array_fn(lam_neg_prime)
+
+    @array_fn
+    def q(v):
+        dn = lam_neg_prime(v)
+        denom = dn - lam_pos_prime(v)
+        if np.any(np.abs(denom) < 1e-300):
+            raise ValueError(f"{name}: vanishing derivative gap")
+        return dn / denom
+
+    probe = np.linspace(*v_range, 512)
     qs = q(probe)
     if not np.all(np.isfinite(qs)):
         raise ValueError(f"{name}: inverse link not finite on the probe range")
@@ -139,28 +148,13 @@ def _link_from_q(q: Callable, v_range: tuple[float, float], name: str) -> Link:
         warnings.warn(f"{name}: inverse link has flat spots; link may be non-unique",
                       RuntimeWarning)
 
-    psi = numeric_inverse(q, tol=1e-13, domain=(lo, hi))
+    psi = numeric_inverse(q, tol=1e-13, domain=v_range)
 
     def psi_prime(x):
         # finite_diff gives a Python float for a 0-d x, and 1.0 / 0.0 would raise
         return np.divide(1.0, finite_diff(q, psi(x), 1, h=1e-6))
 
-    return Link(psi=psi, psi_prime=psi_prime, q=q, range=(lo, hi), name=name)
-
-
-def _gap_link(lam_pos_prime: Callable, lam_neg_prime: Callable,
-              v_range: tuple[float, float], name: str) -> Link:
-    # q(v) = lam_neg'(v) / (lam_neg'(v) - lam_pos'(v)), through _link_from_q
-    lam_pos_prime, lam_neg_prime = array_fn(lam_pos_prime), array_fn(lam_neg_prime)
-
-    def q(v):
-        dn = lam_neg_prime(v)
-        denom = dn - lam_pos_prime(v)
-        if np.any(np.abs(denom) < 1e-300):
-            raise ValueError(f"{name}: vanishing derivative gap")
-        return dn / denom
-
-    return _link_from_q(q, v_range, name)
+    return Link(psi=psi, psi_prime=psi_prime, q=q, range=tuple(v_range), name=name)
 
 
 def reference_link(lam_pos_prime: Callable, lam_neg_prime: Callable,

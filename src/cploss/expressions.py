@@ -14,6 +14,7 @@ from typing import Callable
 
 import numpy as np
 
+from .links import numeric_inverse
 from .numerics import array_fn
 
 __all__ = ["compile_expression", "expression_knots", "ExpressionError"]
@@ -121,11 +122,14 @@ def compile_expression(source: str) -> Callable:
 def expression_knots(source: str) -> tuple[float, ...]:
     """The kinks of ``source`` at its ``min`` and ``max``, sorted: for each
     ``min(a, b)`` or ``max(a, b)``, the isolated zeros of the switch ``a - b``
-    on the grid ``k/1024`` and its sign changes there, bisected to adjacent
-    floats.  Values that are not finite are left out, and a switch that is 0
+    on the grid ``k/1024`` with the graded ends ``2^-k`` and ``1 - 2^-k``
+    (k = 11..40), and its sign changes there, each solved between its two grid
+    points by :func:`~cploss.links.numeric_inverse` to the machine epsilon.
+    Values that are not finite are left out, and a switch that is 0
     throughout gives none.  Other kinks, as in ``sqrt((c-0.5)^2)``, are not found."""
     compile_expression(source)   # the grammar check, and its errors
-    knots, grid = set(), np.arange(1, 1024) / 1024.0
+    ends = 2.0 ** -np.arange(40, 10, -1)
+    knots, grid = set(), np.concatenate([ends, np.arange(1, 1024) / 1024.0, 1.0 - ends[::-1]])
     for node in ast.walk(ast.parse(source.replace("^", "**"), mode="eval")):
         if isinstance(node, ast.Call) and node.func.id in ("min", "max"):
             first, second = map(_compile_node, node.args)
@@ -134,12 +138,7 @@ def expression_knots(source: str) -> tuple[float, ...]:
             x, d = grid[np.isfinite(d)], d[np.isfinite(d)]
             zero = np.concatenate([[False], d == 0, [False]])
             knots.update(x[zero[1:-1] & ~zero[:-2] & ~zero[2:]].tolist())
-            change = np.sign(d[:-1]) * np.sign(d[1:]) < 0
-            lo, hi, side = x[:-1][change], x[1:][change], np.sign(d[:-1][change])
-            mid = 0.5 * (lo + hi)
-            while np.any((lo < mid) & (mid < hi)):
-                left = np.sign(switch(mid)) == side   # the switch changes sign right of mid
-                lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
-                mid = 0.5 * (lo + hi)
-            knots.update(hi.tolist())
+            for i in np.flatnonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0):
+                rise = lambda c, sign=np.sign(d[i + 1]): sign * switch(c)
+                knots.add(float(numeric_inverse(rise, np.finfo(float).eps, (x[i], x[i + 1]))(0.0)))
     return tuple(sorted(knots))

@@ -100,23 +100,22 @@ def numeric_inverse(psi: Callable, tol: float = 1e-12,
                     dpsi: Callable | None = None) -> Callable:
     """Invert a strictly increasing map on ``domain``, array-wide.
 
-    Every point keeps its own bracket ``[lo, hi]`` and all open points step
-    together; only they are passed to ``psi`` (and ``dpsi``).  After each
-    evaluation at ``x`` the bracket shrinks to the side where
-    ``psi(x) - v`` changes sign, and a point stops once
-    ``hi - lo <= tol * max(1, |x|)``, returning the bracket's midpoint (at
-    most 200 steps).
-
-    Without ``dpsi`` the next point is always the midpoint: plain bisection.
-    With the derivative ``dpsi`` the next point is the Newton step
-    ``x - (psi(x) - v) / dpsi(x)`` when it lands strictly inside the
-    bracket, else the midpoint (safeguarded Newton, as in Brent 1973).  A
-    Newton step shorter than the tolerance is lengthened to half of it, so
-    that the next evaluation closes the bracket around the root and the
-    stopping rule above certifies it; a point with ``psi(x) == v`` stops at
-    ``x``.  Each point takes at most 12 Newton steps and then bisects, so a
-    wrong derivative (zero, inf, nan, of the wrong sign or size) costs at
-    most 12 evaluations over plain bisection and never loosens the result.
+    Every point keeps its own bracket ``[lo, hi]``, with ``f = psi - v`` at
+    both ends, and all open points step together; only they are passed to
+    ``psi`` (and ``dpsi``).  After each evaluation at ``x`` the bracket
+    shrinks to the side where ``f`` changes sign, and a point stops at ``x``
+    when ``f(x) == 0``, else once ``hi - lo <= tol * max(1, |x|)``, at the
+    bracket's midpoint (at most 200 steps).  One rule picks the next point:
+    ``x - f(x) / s`` when that lands strictly inside the bracket, else the
+    midpoint; a step shorter than the tolerance is lengthened to half of it,
+    so that the next evaluation closes the bracket and the stopping rule
+    certifies the root.  Given ``dpsi``, ``s = dpsi(x)`` (safeguarded Newton,
+    Brent 1973) for at most 12 steps per point, so a wrong derivative (zero,
+    inf, nan, of the wrong sign or size) costs at most 12 evaluations over
+    bisection and never loosens the result.  Else ``s`` is the secant through
+    the bracket's ends, the value at an end kept twice in a row halved
+    (Illinois, Dowell & Jarratt 1971); an end kept a third time brings the
+    midpoint, as halving alone takes about 40 steps to undo a ratio of 1e12.
 
     Without ``domain``, each end is the outermost of the offsets ``1e-12``,
     ``1e-9``, ``1e-6`` and ``1e-4`` from 0 (and from 1) where ``psi`` gives a
@@ -129,46 +128,45 @@ def numeric_inverse(psi: Callable, tol: float = 1e-12,
     """
     psi, dpsi = array_fn(psi), array_fn(dpsi)
     if domain is None:
-        (lo0, flo), (hi0, fhi) = _end(psi, 0.0), _end(psi, 1.0)
+        (lo0, psi_lo), (hi0, psi_hi) = _end(psi, 0.0), _end(psi, 1.0)
     else:
         lo0, hi0 = domain
-        flo, fhi = float(psi(lo0)), float(psi(hi0))
+        psi_lo, psi_hi = float(psi(lo0)), float(psi(hi0))
 
     def q(v):
-        out = np.where(v <= flo, lo0, hi0).ravel()
-        idx = np.flatnonzero(~(v <= flo) & ~(v >= fhi))
+        out = np.where(v <= psi_lo, lo0, hi0).ravel()
+        idx = np.flatnonzero(~(v <= psi_lo) & ~(v >= psi_hi))
         target = v.ravel()[idx]
-        lo = np.full(idx.size, lo0)
-        hi = np.full(idx.size, hi0)
+        lo, hi = np.full(idx.size, lo0), np.full(idx.size, hi0)
+        f_lo, f_hi = psi_lo - target, psi_hi - target
         x = 0.5 * (lo + hi)
-        newton_left = np.full(idx.size, _NEWTON_STEPS)
+        streak = np.zeros(idx.size)  # the steps in a row that moved one end: -k lo, +k hi
+        budget = np.full(idx.size, _NEWTON_STEPS if dpsi is not None else 200)  # slope steps
         for _ in range(200):
             if idx.size == 0:
                 break
             f = psi(x) - target
             below = f < 0.0
-            lo = np.where(below, x, lo)
-            hi = np.where(below, hi, x)
-            mid = 0.5 * (lo + hi)
+            lo, hi = np.where(below, x, lo), np.where(below, hi, x)
             scale = tol * np.maximum(1.0, np.abs(x))
-            done = hi - lo <= scale
-            out[idx[done]] = mid[done]
-            if dpsi is not None:
-                hit = f == 0.0
-                out[idx[hit]] = x[hit]
-                done |= hit
+            hit = f == 0.0
+            done = (hi - lo <= scale) | hit
+            out[idx[done]] = np.where(hit, x, 0.5 * (lo + hi))[done]
             keep = ~done
-            idx, target, lo, hi, mid = idx[keep], target[keep], lo[keep], hi[keep], mid[keep]
-            if dpsi is None:
-                x = mid
-                continue
-            x, scale, newton_left = x[keep], scale[keep], newton_left[keep]
-            step = f[keep] / dpsi(x)
-            step = np.where(np.abs(step) < scale, np.sign(step) * (0.5 * scale), step)
-            newton = x - step
-            inside = (newton > lo) & (newton < hi) & (newton_left > 0)
-            newton_left = newton_left - inside
-            x = np.where(inside, newton, mid)
+            idx, target, lo, hi, f_lo, f_hi, streak, budget, x, f, scale = (
+                a[keep] for a in (idx, target, lo, hi, f_lo, f_hi, streak, budget, x, f, scale))
+            if dpsi is not None:
+                slope = dpsi(x)
+            else:   # Illinois; the midpoint once an end is kept a third time in a row
+                streak = np.where(f < 0.0, np.minimum(streak, 0) - 1, np.maximum(streak, 0) + 1)
+                halve = np.where(np.abs(streak) >= 2, 0.5, 1.0)  # the other end is kept twice
+                f_lo, f_hi = np.where(f < 0.0, f, halve * f_lo), np.where(f < 0.0, halve * f_hi, f)
+                slope = np.where(np.abs(streak) < 3, (f_hi - f_lo) / (hi - lo), np.nan)
+            step = f / slope
+            nxt = x - np.where(np.abs(step) < scale, np.sign(step) * (0.5 * scale), step)
+            inside = (nxt > lo) & (nxt < hi) & (budget > 0)
+            budget = budget - inside
+            x = np.where(inside, nxt, 0.5 * (lo + hi))
         out[idx] = 0.5 * (lo + hi)
         return out.reshape(v.shape)
 

@@ -249,11 +249,14 @@ def schervish_check(loss, y: int, etahat: float) -> float:
     Returns ``integral over c of ell_c(y, etahat) * w(c) dc`` plus the atom
     contributions; for a fair proper loss this reproduces the partial loss.
     The integral splits at the weight's ``knots``; a divergent piece raises
-    its :class:`~cploss.numerics.IntegrationError`.
+    its :class:`~cploss.numerics.IntegrationError`, an ``etahat`` outside
+    [0, 1] ``ValueError``.
     """
     if y not in (1, -1):
         raise ValueError("y must be +1 or -1")
     etahat = float(etahat)
+    if not 0.0 <= etahat <= 1.0:
+        raise ValueError("etahat must lie in [0,1]")
     wf = loss.weight
     if y == -1:
         F = antiderivative(lambda c: c * wf.w(c), 0.0, wf.knots)

@@ -164,6 +164,8 @@ def _mp_envelope_partials(op, a1, b1, a2, b2):
 @given(BETA_ENVELOPES)
 @example(("max", 2.4438766786915203, -0.769016256308689, 1.9456562410767817, -0.2149430796500198))
 @example(("min", -0.9, 3.0, 3.0, -0.9))
+@example(("min", 0.0, 0.0, 1.0, -1e-05))     # crosses at 1 - 9.28e-5, past the grid k/1024
+@example(("min", 2.125, 0.0, 2.0, 0.0))      # no knot within rounding of 1, where w is inf
 def test_envelope_partials_match_mpmath(envelope):
     op, a1, b1, a2, b2 = envelope
     wf = _build_weight({"weight": {"expr": f"{op}({beta_source(a1, b1)}, {beta_source(a2, b2)})"}})

@@ -269,6 +269,12 @@ class TestRepresentations:
         for y, e in [(1, 0.2), (1, 0.4), (-1, 0.2), (-1, 0.4)]:
             assert schervish_check(loss, y, e) == float(loss.ell(y, np.asarray(e)))
 
+    @pytest.mark.parametrize("y, etahat", [(-1, 1.5), (1, -0.5), (1, 1.5), (-1, math.nan)])
+    def test_schervish_rejects_etahat_outside_the_unit_interval(self, y, etahat):
+        # as conditional_risk does: the mixture is over costs in [0, 1]
+        with pytest.raises(ValueError, match="etahat must lie in"):
+            schervish_check(catalog_loss("square"), y, etahat)
+
     def test_schervish_divergent_tail_raises(self):
         # a weight whose positive-label mixture integral diverges at 1: no
         # finite value comes back

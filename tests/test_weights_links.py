@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from cploss import weights
 from cploss.analysis import convexity_characterization
+from cploss.composite import MarginLoss, logistic_margin, margin_to_link
 from cploss.links import canonical_link, catalog_link, numeric_inverse, rho_of
 from cploss.numerics import NumericsError, finite_diff
 from cploss.weights import WeightFunction, catalog_weight, normalize_weight, tabulated_weight
@@ -292,21 +294,11 @@ def _increasing(x):
     return (x - 0.5) / (x * (1.0 - x))
 
 
-def _scalar_bisection(psi, v, lo, hi, tol):
-    """Reference inverse: one point at a time, the documented stopping rule."""
-    if v <= float(psi(lo)):
-        return lo
-    if v >= float(psi(hi)):
-        return hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if float(psi(mid)) < v:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol * max(1.0, abs(mid)):
-            break
-    return 0.5 * (lo + hi)
+def _increasing_root(v):
+    """The exact root of ``_increasing(x) = v``, from ``v x^2 + (1 - v) x - 1/2 = 0``."""
+    with mpmath.workdps(50):
+        v = mpmath.mpf(v)
+        return float(1 / (mpmath.sqrt(1 + v * v) - v + 1))
 
 
 def _sigmoid(v):
@@ -323,17 +315,25 @@ def _counting(fn, calls):
     return counted
 
 
-class TestNumericInverse:
-    DOMAIN = (1e-12, 1.0 - 1e-12)
+# Halvings of the default domain (1e-12, 1 - 1e-12) to the default tol 1e-12:
+# the calls of psi that plain bisection takes, 40.
+_HALVINGS = math.ceil(math.log2((1.0 - 2e-12) / 1e-12))
 
+
+class TestNumericInverse:
     @pytest.mark.parametrize("shape", [(), (9,), (3, 4)])
-    def test_matches_scalar_bisection(self, shape):
+    def test_array_call_matches_scalar_calls(self, shape):
         vs = np.linspace(-40.0, 25.0, max(1, math.prod(shape))).reshape(shape) + 0.3
-        got = np.asarray(numeric_inverse(_increasing)(vs))
+        q = numeric_inverse(_increasing)
+        got = np.asarray(q(vs))
         assert got.shape == shape
-        want = np.array([_scalar_bisection(_increasing, float(v), *self.DOMAIN, 1e-12)
-                         for v in vs.ravel()]).reshape(shape)
-        assert np.max(np.abs(got - want), initial=0.0) <= 1e-15
+        # each point steps on its own data only: the same floats one at a time
+        alone = np.array([float(q(float(v))) for v in vs.ravel()]).reshape(shape)
+        assert np.array_equal(got, alone)
+        # and the stopping rule holds against the exact root
+        for x, v in zip(got.ravel(), vs.ravel()):
+            root = _increasing_root(v)
+            assert abs(x - root) <= 1e-12 * max(1.0, abs(root)), v
 
     def test_clamps_to_the_domain_ends(self):
         q = numeric_inverse(_increasing, domain=(0.2, 0.7))
@@ -400,10 +400,12 @@ class TestNumericInverse:
         assert len(calls) <= 14  # bisection needs 40 halvings for this tolerance
 
     def test_newton_against_bisection_work(self):
-        _, bisect_calls, bisect_points = self._calls(None)
         got, calls, points = self._calls(_LOG.w)
-        assert bisect_calls == 40 and bisect_points == 40 * self.XS.size
         assert calls <= 14 and points <= 7 * self.XS.size
+        assert np.max(np.abs(got - self.XS)) <= 1e-12
+        # without the derivative: secant steps, in at most half of bisection's halvings
+        got, calls, _ = self._calls(None)
+        assert calls <= _HALVINGS // 2
         assert np.max(np.abs(got - self.XS)) <= 1e-12
 
     @pytest.mark.parametrize("dpsi", [
@@ -418,9 +420,32 @@ class TestNumericInverse:
         lambda x: np.full_like(x, np.nan),
     ], ids=["2x", "half", "1e6x", "1e-3x", "negative", "one", "zero", "inf", "nan"])
     def test_a_wrong_derivative_still_converges(self, dpsi):
-        _, bisect_calls, _ = self._calls(None)
         got, calls, _ = self._calls(dpsi)
         assert np.max(np.abs(got - self.XS)) <= 1e-12
         # at most 12 Newton steps per point on top of bisection, inside the
         # bisection bound of test_all_points_step_together
-        assert calls <= bisect_calls + 12 and calls <= 60
+        assert calls <= _HALVINGS + 12 and calls <= 60
+
+    @pytest.mark.parametrize("psi", [
+        lambda x: x + 1e6 * (x > 0.3),
+        lambda x: x ** 15,
+        lambda x: np.tan(np.pi * (x - 0.5)),
+        lambda x: np.log(x / (1.0 - x)) ** 3,
+        lambda x: x ** (1 / 15),
+    ], ids=["jump", "x^15", "tan", "logit^3", "x^(1/15)"])
+    def test_hard_secant_cases_close_in_few_calls(self, psi):
+        calls = []
+        q = numeric_inverse(_counting(psi, calls))
+        vs = psi(np.append(self.XS, 0.3))   # for the jump, the root at 0.3 is the jump itself
+        got = np.asarray(q(vs))
+        assert len(calls) - 2 <= 100
+        h = 1e-12 * np.maximum(1.0, np.abs(got))   # the stopping rule: a sign change within h
+        assert np.all((psi(got - h) <= vs) & (vs <= psi(got + h)))
+
+    def test_margin_link_psi_in_few_calls_of_q(self):
+        calls = []
+        m = logistic_margin()
+        link = margin_to_link(MarginLoss(m.phi, _counting(m.phi_prime, calls), m.name))
+        calls.clear()
+        link.psi(np.linspace(0.01, 0.99, 99))
+        assert len(calls) // 2 <= 25   # q reads phi' twice; bisection took 49 calls of q
