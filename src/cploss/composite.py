@@ -63,6 +63,13 @@ class CompositeLoss(_Loss):
     def ell_neg(self, v):
         return self.base.ell_neg(self.link.q(v))
 
+    def _partials_at(self, v):
+        return self.base, self.link.q(v)
+
+    def _risk_slope(self, eta, v):   # the risk's derivative in v: (q(v) - eta) rho(q(v))
+        e = self.link.q(v)
+        return (e - eta) * self.rho(e)
+
 
 @dataclass(frozen=True)
 class MarginLoss:

@@ -12,6 +12,7 @@ regret-bound curve with its closed-form inversion.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import time
 import warnings
@@ -20,8 +21,9 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import (MinimizeResult, QuadratureSpec, array_fn, integrate, lambert_w0,
-                       minimize_scalar)
+from .links import numeric_inverse
+from .numerics import (MinimizeResult, NumericsError, QuadratureSpec, array_fn, integrate,
+                       lambert_w0)
 from .proper import ProperLoss, _risk_terms, bayes_risk, catalog_loss
 
 __all__ = [
@@ -43,6 +45,7 @@ __all__ = [
 ]
 
 _RISK_QUAD = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
+_INNER, _OUTER = 1e-4, 1e-12   # the slope's first bracket's ends and its extension's, from 0 or 1
 
 
 @dataclass(frozen=True)
@@ -88,13 +91,37 @@ def full_risk(exp: Experiment, loss, h: Callable) -> float:
     return integrate(integrand, 0.0, 1.0, _RISK_QUAD)
 
 
-def constrained_bayes(exp: Experiment, loss, tol: float = 1e-10) -> MinimizeResult:
-    """Minimise the full risk over the linear class, boundary-aware."""
+def constrained_bayes(exp: Experiment, loss, tol: float = 1e-12) -> MinimizeResult:
+    """Minimise the full risk over the linear class: the root of its slope, to within ``tol``.
 
-    def objective(alpha: float) -> float:
-        return full_risk(exp, loss, LinearHypothesisClass.hypothesis(alpha))
+    The slope of the conditional risk, ``(etahat - eta) w(etahat)`` (composite: ``(q(v) - eta)
+    rho(q(v))``; atoms: ``ValueError``), integrated against ``x`` at ``h = alpha x``, is the
+    risk's derivative in alpha.  Its root is taken by Illinois steps of one quadrature each
+    (:func:`~cploss.links.numeric_inverse`) on [1e-4, 1 - 1e-4], or, past an end where the slope
+    keeps its sign, out to 1e-12 from 0 or 1; that bound wins if its risk is at most ``1e-12
+    (1 + |min|)`` higher and the root is within ``max(4 tol, 1e-7 (1 + alpha))`` of it.
+    ``min_value`` is :func:`full_risk` at the argmin; ``iterations`` counts slope quadratures.
+    """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    calls = []
 
-    return minimize_scalar(objective, 0.0, 1.0, tol=tol)
+    def slope(alpha):
+        calls.append(a := alpha.item())
+        return integrate(lambda x: x * loss._risk_slope(exp.eta(x), a * x), 0.0, 1.0, _RISK_QUAD)
+
+    risk = lambda a: full_risk(exp, loss, LinearHypothesisClass.hypothesis(a))
+    root = lambda lo, hi: float(numeric_inverse(slope, tol, (lo, hi))(0.0))
+    argmin, end = root(_INNER, 1.0 - _INNER), None
+    if argmin in (_INNER, 1.0 - _INNER):   # the slope keeps its sign: the minimum lies beyond
+        end = float(round(argmin))
+        argmin = root(*sorted((argmin, abs(end - _OUTER))))
+    value = risk(argmin)
+    if end is not None and abs(end - argmin) <= max(4.0 * tol, 1e-7 * (1.0 + argmin)):
+        with contextlib.suppress(NumericsError):   # the risk at the bound may diverge
+            if (at_end := risk(end)) <= value + 1e-12 * (1.0 + abs(value)):
+                argmin, value = end, at_end
+    return MinimizeResult(argmin=argmin, min_value=value, iterations=len(calls), converged=True)
 
 
 def zero_one_linear_risk(exp: Experiment, alpha: float) -> float:

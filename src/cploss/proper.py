@@ -54,6 +54,9 @@ class _Loss:
             return self.ell_neg(pred)
         raise ValueError(f"label must be +1 or -1, got {y!r}")
 
+    def _partials_at(self, pred):   # (loss, x): its partials at x are this loss's at pred
+        return self, pred
+
 
 @dataclass(frozen=True)
 class ProperLoss(_Loss):
@@ -75,6 +78,11 @@ class ProperLoss(_Loss):
     def __post_init__(self):
         object.__setattr__(self, "ell_pos", array_fn(self.ell_pos))
         object.__setattr__(self, "ell_neg", array_fn(self.ell_neg))
+
+    def _risk_slope(self, eta, e):   # the risk's derivative in e: the paper's (e - eta) w(e)
+        if self.weight.has_atoms:
+            raise ValueError("the risk slope is undefined for weights with atoms")
+        return (e - eta) * self.weight.w(e)
 
     def validate(self) -> None:
         """Probe fairness and nonnegativity on a small grid.
@@ -175,12 +183,12 @@ def catalog_loss(name: str, params: dict | None = None) -> ProperLoss:
 def _risk_terms(loss, eta, pred):
     """eta*ell_pos(pred) + (1-eta)*ell_neg(pred) elementwise, ``pred`` on the loss's own scale.
 
-    Each partial is read only where its term has positive weight (the whole
-    array when that is everywhere), so no 0*inf arises and no partial is read
-    at an end that carries no weight.  No range checks: callers validate.
+    Each partial is read only where its term has positive weight (the whole array when that
+    is everywhere), so no 0*inf arises and no partial is read at an end that carries no
+    weight.  A composite's scores pass through its ``q`` once.  No range checks: callers validate.
     """
     eta = np.asarray(eta, dtype=float)
-    pred = np.asarray(pred, dtype=float)
+    loss, pred = loss._partials_at(np.asarray(pred, dtype=float))
     total = np.zeros(np.broadcast_shapes(eta.shape, pred.shape))
     with np.errstate(all="ignore"):
         for partial, p in ((loss.ell_pos, eta), (loss.ell_neg, 1.0 - eta)):
@@ -200,12 +208,10 @@ def conditional_risk(loss, eta, etahat):
     prediction never produces 0*inf.  ``eta`` and ``etahat`` broadcast; the
     result is a float when both are scalars.
     """
-    eta = np.asarray(eta, dtype=float)
-    if not np.all((eta >= 0.0) & (eta <= 1.0)):
-        raise ValueError(f"eta must lie in [0,1], got {eta}")
-    e = np.asarray(etahat, dtype=float)
-    if np.any(e < 0.0) or np.any(e > 1.0):
-        raise ValueError("etahat must lie in [0,1]")
+    eta, e = np.asarray(eta, dtype=float), np.asarray(etahat, dtype=float)
+    for name, x in (("eta", eta), ("etahat", e)):
+        if not np.all((x >= 0.0) & (x <= 1.0)):
+            raise ValueError(f"{name} must lie in [0,1], got {x}")
     out = _risk_terms(loss, eta, e)
     return float(out) if np.ndim(out) == 0 else out
 

@@ -42,12 +42,12 @@ def _check_alpha(alpha: float) -> float:
 def corrupt(eta: float, alpha: float):
     """The flipped-label class probability alpha(1-eta) + (1-alpha)eta.
 
-    Lands in [alpha, 1-alpha] and never crosses 1/2.
+    Lands in [alpha, 1-alpha] and never crosses 1/2; ``ValueError`` unless 0 <= eta <= 1 (NaN too).
     """
     alpha = _check_alpha(alpha)
     e = np.asarray(eta, dtype=float)
-    if np.any(e < 0.0) or np.any(e > 1.0):
-        raise ValueError("eta must lie in [0,1]")
+    if not np.all((e >= 0.0) & (e <= 1.0)):
+        raise ValueError(f"eta must lie in [0,1], got {e}")
     out = alpha * (1.0 - e) + (1.0 - alpha) * e
     return float(out) if np.ndim(eta) == 0 else out
 
@@ -73,6 +73,9 @@ class NoisyLoss(_Loss):
         out = _risk_terms(self, float(eta), v)
         return float(out) if np.ndim(v) == 0 else out
 
+    def _risk_slope(self, eta, v):   # the base's, at the flipped eta
+        return self.base._risk_slope(self.alpha * (1.0 - eta) + (1.0 - self.alpha) * eta, v)
+
 
 def noisy_loss(cl, alpha: float) -> NoisyLoss:
     """Mixture loss whose risk on clean eta equals the clean risk on eta_alpha."""
@@ -82,9 +85,11 @@ def noisy_loss(cl, alpha: float) -> NoisyLoss:
 def minimizer_set(loss, eta: float, grid: Sequence[float]) -> np.ndarray:
     """Grid points (on the loss's scale) whose risk is within 1e-12 (1 + |min|) of the minimum.
 
-    That is tight enough that the exact plateaus of piecewise-constant losses
-    are recovered while smooth strictly proper losses give a near-singleton.
+    That is tight enough that the exact plateaus of piecewise-constant losses are recovered while
+    smooth strictly proper losses give a near-singleton.  ``ValueError`` unless 0 <= eta <= 1.
     """
+    if not 0.0 <= float(eta) <= 1.0:
+        raise ValueError(f"eta must lie in [0,1], got {eta}")
     grid = np.asarray(grid, dtype=float)
     risks = _risk_terms(loss, float(eta), grid)
     m = float(np.min(risks))

@@ -5,8 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar as scipy_minimize
 
+from cploss.composite import make_composite
 from cploss.experiments import (
     Experiment,
     LinearHypothesisClass,
@@ -21,8 +24,20 @@ from cploss.experiments import (
     surrogate_penalty,
     zero_one_linear_risk,
 )
-from cploss.proper import bayes_risk, catalog_loss, from_weight
-from cploss.weights import catalog_weight
+from cploss.links import catalog_link
+from cploss.proper import bayes_risk, catalog_loss, cost_loss, from_weight
+from cploss.robustness import noisy_loss
+from cploss.weights import WeightFunction, catalog_weight
+from weight_strategies import BETA_EXPONENTS, beta_expression
+
+EXPERIMENTS = {"eta1": quadratic_experiment(), "eta2": affine_experiment()}
+
+
+def scipy_argmin(exp, loss):
+    """scipy's bounded minimiser of the full risk over the linear class."""
+    risk = lambda a: full_risk(exp, loss, LinearHypothesisClass.hypothesis(a))
+    return scipy_minimize(risk, bounds=(0.0, 1.0), method="bounded",
+                          options={"xatol": 1e-12}).x
 
 
 class TestFullRisk:
@@ -91,6 +106,36 @@ class TestConstrainedBayes:
         res = constrained_bayes(quadratic_experiment(), catalog_loss("w1-over-1mc"))
         assert res.argmin == pytest.approx(0.81779259, abs=1e-6)
 
+    @pytest.mark.parametrize("weight, eta, want", [
+        ("square", "eta1", 3 / 4), ("square", "eta2", 5 / 6), ("w1-over-c", "eta1", 2 / 3)])
+    def test_argmin_is_the_exact_rational(self, weight, eta, want):
+        # g(alpha) is a polynomial (square) or (3 alpha - 2) / (6 alpha) (1/c, eta1)
+        res = constrained_bayes(EXPERIMENTS[eta], catalog_loss(weight))
+        assert res.argmin == pytest.approx(want, abs=1e-12)
+
+    def test_min_value_is_the_full_risk_at_the_argmin(self):
+        exp, loss = affine_experiment(), catalog_loss("log")
+        res = constrained_bayes(exp, loss)
+        assert res.min_value == full_risk(exp, loss, LinearHypothesisClass.hypothesis(res.argmin))
+
+    @pytest.mark.parametrize("eta", ["eta1", "eta2"])
+    @pytest.mark.parametrize("loss", [
+        make_composite(catalog_loss("log"), catalog_link("logit")),
+        noisy_loss(catalog_loss("log"), 0.2)], ids=["log@logit", "noisy(log,0.2)"])
+    def test_composite_and_noisy_agree_with_scipy(self, loss, eta):
+        exp = EXPERIMENTS[eta]
+        assert constrained_bayes(exp, loss).argmin == pytest.approx(scipy_argmin(exp, loss),
+                                                                    abs=1e-6)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan])
+    def test_tol_must_be_positive(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            constrained_bayes(quadratic_experiment(), catalog_loss("square"), tol=tol)
+
+    def test_a_weight_with_atoms_has_no_slope(self):
+        with pytest.raises(ValueError, match="atoms"):
+            constrained_bayes(quadratic_experiment(), cost_loss(0.3))
+
     def test_local_minimality(self):
         exp = quadratic_experiment()
         loss = catalog_loss("w1-over-c")
@@ -100,6 +145,23 @@ class TestConstrainedBayes:
             probe = min(max(probe, 0.0), 1.0)
             if probe != res.argmin:
                 assert full_risk(exp, loss, fam.hypothesis(probe)) > res.min_value
+
+
+# Members with a or b <= 0 have an infinite partial at 0 or 1, which the full
+# risk's quadrature reads at its ends and fails on; below 1 the quadrature
+# partials grow slow, and scipy's search reads them about 30 times.
+_BOUNDED_BETA = tuple(s.filter(lambda t: t >= 1.0) for s in BETA_EXPONENTS)
+
+
+@settings(max_examples=6, deadline=None)
+@given(*_BOUNDED_BETA)
+@example(1.0, 3.0)   # 1 - c squared: the minimum at alpha = 1 under eta2
+def test_beta_argmins_agree_with_scipy(a, b):
+    # c^(a-1) (1-c)^(b-1) through quadrature partials
+    loss = from_weight(WeightFunction(w=beta_expression(a, b)))
+    for exp in EXPERIMENTS.values():
+        assert constrained_bayes(exp, loss).argmin == pytest.approx(scipy_argmin(exp, loss),
+                                                                    abs=1e-6)
 
 
 class TestZeroOneLinearRisk:

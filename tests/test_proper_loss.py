@@ -182,6 +182,12 @@ class TestRisks:
         with pytest.raises(ValueError):
             conditional_risk(catalog_loss("square"), 0.5, -0.1)
 
+    @pytest.mark.parametrize("eta, etahat", [(math.nan, 0.5), (0.3, math.nan),
+                                             (0.3, [0.2, math.nan])])
+    def test_nan_is_outside_the_unit_interval(self, eta, etahat):
+        with pytest.raises(ValueError, match="must lie in"):
+            conditional_risk(catalog_loss("square"), eta, etahat)
+
     def test_bayes_square(self):
         for eta in [0.1, 0.3, 0.7]:
             assert bayes_risk(catalog_loss("square"), eta) == pytest.approx(eta * (1 - eta) / 2)

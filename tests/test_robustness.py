@@ -1,11 +1,14 @@
 """Label-noise corruption, noisy losses, minimiser sets, robustness intervals."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from cploss.composite import make_composite
 from cploss.experiments import Experiment, full_risk
-from cploss.links import catalog_link
+from cploss.links import canonical_link, catalog_link
 from cploss.proper import catalog_loss, cost_loss, zero_one_loss
 from cploss.robustness import (
     corrupt,
@@ -43,6 +46,11 @@ class TestCorrupt:
             corrupt(0.5, 0.5)
         with pytest.raises(ValueError):
             corrupt(1.5, 0.1)
+
+    @pytest.mark.parametrize("eta", [math.nan, [0.2, math.nan]])
+    def test_nan_is_outside_the_unit_interval(self, eta):
+        with pytest.raises(ValueError, match="eta must lie in"):
+            corrupt(eta, 0.1)
 
 
 class TestNoisyLoss:
@@ -102,6 +110,31 @@ class TestMinimizerSet:
     def test_zero_one_plateaus(self):
         sel = minimizer_set(zero_one_loss(), 0.2, self.GRID)
         assert np.all(sel < 0.5)
+
+    @pytest.mark.parametrize("eta", [math.nan, -0.5, 1.5])
+    def test_eta_outside_the_unit_interval_is_refused(self, eta):
+        with pytest.raises(ValueError, match="eta must lie in"):
+            minimizer_set(catalog_loss("square"), eta, self.GRID)
+
+    def test_a_composite_inverts_its_link_once_per_call(self):
+        log = catalog_weight("log")
+        psi_calls = []
+
+        def W(c):   # the canonical link's psi is W less W(1/2)
+            psi_calls.append(np.size(c))
+            return log.W(c)
+
+        cl = make_composite(catalog_loss("log"), canonical_link(replace(log, W=W)))
+        grid = np.linspace(-5.0, 5.0, 1001)
+        psi_calls.clear()
+        cl.link.q(grid)
+        one_q = list(psi_calls)
+        psi_calls.clear()
+        got = minimizer_set(cl, 0.3, grid)
+        assert psi_calls == one_q   # one inversion of q serves both partials
+        risks = 0.3 * cl.ell_pos(grid) + 0.7 * cl.ell_neg(grid)
+        m = float(np.min(risks))
+        assert np.array_equal(got, grid[risks <= m + 1e-12 * (1.0 + abs(m))])
 
 
 class TestCostRobustInterval:
