@@ -45,28 +45,39 @@ class StrictnessError(ValueError):
     """The convexity characterisation needs a strictly positive weight."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvexityReport:
     """Outcome of a convexity certification.
 
-    ``violations`` holds ``(x, side, lhs, rhs)`` tuples: the probability
-    coordinate, which bound failed ("lower" tracks the negative partial,
-    "upper" the positive one), and the two compared quantities: that side's
+    Each violation is one entry of four arrays, sorted by ``xs``, then side
+    ("lower" first), then ``lhs``, then ``rhs``: the probability coordinate,
+    whether the ``upper`` bound failed (it tracks the positive partial,
+    "lower" the negative one), and the two compared quantities: that side's
     reading of ``rho'/rho`` and its bound, or a second difference and 0.
+    ``violations`` builds the ``(x, side, lhs, rhs)`` tuples on each read.
     """
 
     convex: bool
-    violations: tuple[tuple[float, str, float, float], ...]
+    xs: np.ndarray
+    upper: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
     method: str
     grid_size: int = 0
     tolerance: float = 1e-9
 
+    @property
+    def violations(self) -> tuple[tuple[float, str, float, float], ...]:
+        sides = np.where(self.upper, "upper", "lower").tolist()
+        return tuple(zip(self.xs.tolist(), sides, self.lhs.tolist(), self.rhs.tolist()))
+
     def violation_xs(self, side: str | None = None) -> np.ndarray:
-        if not self.violations:
-            return np.zeros(0)
-        xs, sides, _, _ = zip(*self.violations)
-        xs = np.asarray(xs, dtype=float)
-        return xs if side is None else xs[np.asarray(sides) == side]
+        """The x of every violation, or of those of one side; a fresh array."""
+        if side is None:
+            return self.xs.copy()
+        if side not in ("lower", "upper"):
+            raise ValueError(f"side must be 'lower', 'upper' or None, got {side!r}")
+        return self.xs[self.upper == (side == "upper")]
 
     def to_json_dict(self) -> dict:
         return {
@@ -74,11 +85,17 @@ class ConvexityReport:
             "method": self.method,
             "grid_size": self.grid_size,
             "tolerance": self.tolerance,
-            "violations": [
-                {"x": float(x), "side": side, "lhs": float(l), "rhs": float(r)}
-                for x, side, l, r in self.violations
-            ],
+            "violations": [{"x": x, "side": side, "lhs": l, "rhs": r}
+                           for x, side, l, r in self.violations],
         }
+
+
+def _report(method: str, found: list, grid_size: int, tol: float) -> ConvexityReport:
+    # found: one (xs, upper, lhs, rhs) array quadruple per side
+    xs, upper, lhs, rhs = (np.concatenate(col) for col in zip(*found))
+    order = np.lexsort((rhs, lhs, upper, xs))
+    return ConvexityReport(not xs.size, xs[order], upper[order], lhs[order], rhs[order],
+                           method, grid_size, tol)
 
 
 @dataclass(frozen=True)
@@ -172,6 +189,8 @@ def convexity_characterization(wf: WeightFunction, link: Link,
     if grid is None:
         grid = certification_grid()
     xs = np.asarray(grid, dtype=float)
+    if not xs.size:
+        raise ValueError("characterisation needs at least one grid point")
     if wf.has_atoms:
         raise StrictnessError("characterisation requires an atom-free weight")
     n, h = xs.size, 1e-6
@@ -180,7 +199,7 @@ def convexity_characterization(wf: WeightFunction, link: Link,
     if np.any(rho[2 * n:] <= 0):
         raise StrictnessError("characterisation requires w > 0 on the grid")
     ts, rho = ts[:2 * n], rho[:2 * n]
-    violations = []
+    found = []
     # sign 1: lhs below the lower bound fails; sign -1: lhs above the upper one
     for side, factor, bound, sign in (("lower", ts, -1.0 / xs, 1.0),
                                       ("upper", 1.0 - ts, 1.0 / (1.0 - xs), -1.0)):
@@ -192,10 +211,8 @@ def convexity_characterization(wf: WeightFunction, link: Link,
             raise NumericsError(f"the {side} reading of rho'/rho is nan at grid point x={x!r}")
         slack = tol * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(bound)))
         i = np.nonzero(sign * lhs < sign * bound - slack)[0]
-        violations += zip(xs[i].tolist(), [side] * i.size, lhs[i].tolist(), bound[i].tolist())
-    violations.sort()
-    return ConvexityReport(convex=not violations, violations=tuple(violations),
-                           method="characterization", grid_size=len(xs), tolerance=tol)
+        found.append((xs[i], np.full(i.size, sign < 0), lhs[i], bound[i]))
+    return _report("characterization", found, len(xs), tol)
 
 
 def convexity_oracle(cl: CompositeLoss,
@@ -208,13 +225,17 @@ def convexity_oracle(cl: CompositeLoss,
     Violations are reported in probability coordinates ``x = q(v)`` with
     side "lower" for the negative partial and "upper" for the positive one.
     The grid is inverted once; both partials are read off the base loss.
+    A grid with a score that is not finite, or with fewer than three distinct
+    scores (no second difference), raises ``ValueError``.
     """
     if score_grid is None:
         score_grid = cl.link.psi(certification_grid())
     vs = np.unique(np.asarray(score_grid, dtype=float))
+    if not np.isfinite(vs).all() or vs.size < 3:
+        raise ValueError("the oracle needs at least three distinct scores, all finite")
     qs = cl.link.q(vs)
-    violations = []
-    for y, side in ((-1, "lower"), (1, "upper")):
+    found = []
+    for y in (-1, 1):
         fv = cl.base.ell(y, qs)
         x0, x1, x2 = vs[:-2], vs[1:-1], vs[2:]
         f0, f1, f2 = fv[:-2], fv[1:-1], fv[2:]
@@ -223,10 +244,8 @@ def convexity_oracle(cl: CompositeLoss,
         step = np.minimum(x1 - x0, x2 - x1)
         floor = 4e-15 * np.maximum(1.0, np.abs(f1)) / (step * step)
         i = np.nonzero(dd < -(tol + floor))[0]
-        violations += zip(qs[i + 1].tolist(), [side] * i.size, dd[i].tolist(), [0.0] * i.size)
-    violations.sort()
-    return ConvexityReport(convex=not violations, violations=tuple(violations),
-                           method="oracle", grid_size=len(vs), tolerance=tol)
+        found.append((qs[i + 1], np.full(i.size, y > 0), dd[i], np.zeros(i.size)))
+    return _report("oracle", found, len(vs), tol)
 
 
 def allowable_region(link: Link, grid: Sequence[float] | None = None) -> RegionCurve:

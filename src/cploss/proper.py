@@ -92,9 +92,10 @@ class ProperLoss(_Loss):
         """
         xs = np.linspace(0.01, 0.99, 25)
         if self.fair:
-            if np.any(self.ell_pos(xs) < -1e-9) or np.any(self.ell_neg(xs) < -1e-9):
+            pos, neg = self.ell_pos(np.append(xs, 1.0)), self.ell_neg(np.append(xs, 0.0))
+            if np.any(pos[:-1] < -1e-9) or np.any(neg[:-1] < -1e-9):
                 raise ImpropernessError(f"{self.name}: fair loss has negative partial values")
-            edge = max(abs(float(self.ell_neg(0.0))), abs(float(self.ell_pos(1.0))))
+            edge = max(abs(float(neg[-1])), abs(float(pos[-1])))
             if not edge <= 1e-9:
                 raise ImpropernessError(f"{self.name}: fairness anchors are not zero")
 
@@ -120,8 +121,7 @@ def from_weight(wf: WeightFunction) -> ProperLoss:
         continuous_pos = continuous_neg = np.zeros_like
     elif wf.W is not None and wf.Wbar is not None:
         Wf, Wbar = wf.W, wf.Wbar
-        wbar0 = float(Wbar(0.0))
-        wbar1 = float(Wbar(1.0))
+        wbar0, wbar1 = Wbar(np.array([0.0, 1.0])).tolist()
         if not (np.isfinite(wbar0) and np.isfinite(wbar1)):
             raise ImpropernessError(
                 f"weight {wf.name!r} is not definite: its partial-loss integrals diverge")

@@ -133,6 +133,10 @@ class TestConvexityCharacterization:
             convexity_characterization(wf, catalog_link("identity"), [1e-4, 5e-7])
         assert not convexity_characterization(wf, catalog_link("identity"), [1e-4]).convex
 
+    def test_an_empty_grid_raises(self):
+        with pytest.raises(ValueError, match="at least one grid point"):
+            convexity_characterization(catalog_weight("square"), catalog_link("identity"), [])
+
 
 # The expression twin of each closed-form catalog weight.
 TWINS = {"square": "1", "log": "1/((1-c)*c)", "boosting": "((1-c)*c)^-1.5",
@@ -187,6 +191,7 @@ def test_violations_are_those_of_the_exact_slopes(wname, lname, typed):
     link = canonical_link(wf) if lname == "canonical" else catalog_link(lname)
     report = convexity_characterization(wf, link, xs)
     assert [v[:2] for v in report.violations] == sorted(want)
+    _assert_matches(report, _loop_characterization(wf, link, xs))
     # each reported lhs is the side's reading of rho'/rho
     got = np.array([v[2] for v in report.violations])
     at = np.array([v[0] for v in report.violations])
@@ -261,6 +266,14 @@ class TestConvexityOracle:
         oracle = convexity_oracle(cl, np.asarray(link.psi(grid), dtype=float))
         assert char.convex == oracle.convex, (wname, lname)
 
+    @pytest.mark.parametrize("scores", [[], [1.0], [0.0, 0.0, 0.0], [1.0, 2.0], [0.0, 1.0, np.nan],
+                                        [0.0, 1.0, 2.0, np.inf]])
+    def test_a_grid_without_a_finite_second_difference_raises(self, scores):
+        # with no second difference, or a NaN one, no point could ever fail
+        cl = make_composite(catalog_loss("boosting"), catalog_link("identity"))
+        with pytest.raises(ValueError, match="at least three distinct scores, all finite"):
+            convexity_oracle(cl, scores)
+
 
 def _loop_characterization(wf, link, xs, tol=1e-9, h=1e-6):
     """Reference: the violations of the characterisation, one grid point at a time.
@@ -297,8 +310,25 @@ def _loop_oracle(cl, vs, tol=1e-8):
     return tuple(sorted(out))
 
 
+def _assert_matches(report, want):
+    """Every view of the report's violations equals the loop's tuples ``want``."""
+    assert report.violations == want
+    for v in report.violations:
+        assert [type(t) for t in v] == [float, str, float, float]
+    rows = report.to_json_dict()["violations"]
+    assert [list(row.items()) for row in rows] == [
+        list(zip(("x", "side", "lhs", "rhs"), v)) for v in want]
+    held = (report.xs, report.upper, report.lhs, report.rhs)
+    for side in (None, "lower", "upper"):
+        got = report.violation_xs(side)
+        assert got.dtype == np.float64
+        assert got.tolist() == [v[0] for v in want if side in (None, v[1])]
+        # a view would keep the whole report alive with the array
+        assert not any(np.shares_memory(got, a) for a in held)
+
+
 class TestViolationsMatchTheLoopReference:
-    """The array-built violation tuples equal a per-point loop, values and types."""
+    """The array-held violations equal a per-point loop in every view, values and types."""
 
     @pytest.mark.parametrize("wname,lname", [("boosting", "identity"), ("w1-over-c", "logit"),
                                              ("w1-over-1mc", "cll"), ("log", "logit")])
@@ -309,15 +339,8 @@ class TestViolationsMatchTheLoopReference:
         vs = np.unique(np.asarray(link.psi(grid), dtype=float))
         cl = make_composite(from_weight(wf), link)
         oracle = convexity_oracle(cl, vs)
-        assert char.violations == _loop_characterization(wf, link, grid)
-        assert oracle.violations == _loop_oracle(cl, vs)
-        for report in (char, oracle):
-            for v in report.violations:
-                assert [type(t) for t in v] == [float, str, float, float]
-            for side in (None, "lower", "upper"):
-                want = [v[0] for v in report.violations if side is None or v[1] == side]
-                got = report.violation_xs(side)
-                assert got.dtype == np.float64 and got.tolist() == want
+        _assert_matches(char, _loop_characterization(wf, link, grid))
+        _assert_matches(oracle, _loop_oracle(cl, vs))
 
     def test_a_grid_point_can_break_both_bounds(self):
         # beyond (0, 1) the bounds cross, so one point violates both; "lower" comes first
@@ -327,8 +350,14 @@ class TestViolationsMatchTheLoopReference:
         link = catalog_link("identity")
         xs = np.array([0.5, 1.5])
         report = convexity_characterization(wf, link, xs)
-        assert report.violations == _loop_characterization(wf, link, xs)
+        _assert_matches(report, _loop_characterization(wf, link, xs))
         assert [v[:2] for v in report.violations] == [(1.5, "lower"), (1.5, "upper")]
+
+    @pytest.mark.parametrize("side", ["Lower", "UPPER", "both", ""])
+    def test_a_misspelt_side_raises(self, side):
+        report = convexity_characterization(catalog_weight("boosting"), catalog_link("identity"))
+        with pytest.raises(ValueError, match="side must be"):
+            report.violation_xs(side)
 
 
 class TestAllowableRegion:
