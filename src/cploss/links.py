@@ -123,8 +123,9 @@ def numeric_inverse(psi: Callable, tol: float = 1e-12,
     quadrature up to a strong endpoint singularity may not; ``ValueError``
     if there is none.  ``psi`` at the kept domain ends is evaluated once,
     here, and scores at or beyond those values clamp to the domain ends, so
-    ``q(-inf)`` and ``q(inf)`` are the ends.  ``psi``, ``dpsi`` and the
-    returned inverse keep the contract of :func:`~cploss.numerics.array_fn`.
+    ``q(-inf)`` and ``q(inf)`` are the ends; a NaN score never steps and
+    gives NaN.  ``psi``, ``dpsi`` and the returned inverse keep the contract
+    of :func:`~cploss.numerics.array_fn`.
     """
     psi, dpsi = array_fn(psi), array_fn(dpsi)
     if domain is None:
@@ -134,8 +135,8 @@ def numeric_inverse(psi: Callable, tol: float = 1e-12,
         psi_lo, psi_hi = float(psi(lo0)), float(psi(hi0))
 
     def q(v):
-        out = np.where(v <= psi_lo, lo0, hi0).ravel()
-        idx = np.flatnonzero(~(v <= psi_lo) & ~(v >= psi_hi))
+        out = np.where(v <= psi_lo, lo0, np.where(v >= psi_hi, hi0, v)).ravel()
+        idx = np.flatnonzero((v > psi_lo) & (v < psi_hi))
         target = v.ravel()[idx]
         lo, hi = np.full(idx.size, lo0), np.full(idx.size, hi0)
         f_lo, f_hi = psi_lo - target, psi_hi - target
@@ -230,6 +231,10 @@ def catalog_link(name: str) -> Link:
     return _CATALOG[name]
 
 
+# The mesh of a quadrature psi: 2^-k to k = 40, 1 - 2^-k only to k = 30 (1 - c loses digits).
+_MESH = tuple(2.0 ** -np.arange(1, 41)) + tuple(1.0 - 2.0 ** -np.arange(2, 31))
+
+
 def canonical_link(wf: WeightFunction) -> Link:
     """The link with psi' = w, anchored so that psi(1/2) = 0.
 
@@ -239,15 +244,16 @@ def canonical_link(wf: WeightFunction) -> Link:
     of ``psi`` with that exact derivative, so it takes safeguarded Newton
     steps: each costs one evaluation of ``psi`` and one of ``w``.  ``psi`` is
     the weight's own ``W`` when it has one (the catalog weights, and the
-    exact piecewise-quadratic ``W`` of a table), else
-    ``antiderivative(w, 1/2, knots)``, all points in one lockstep quadrature; the
-    weight is neither rebuilt nor checked again.  The domain of ``q`` is the
-    end rule of :func:`numeric_inverse`, and the score range is ``psi`` at
-    its two ends.
+    exact piecewise-quadratic ``W`` of a table), else the table
+    ``antiderivative(w, 1/2, mesh + knots)``, its mesh ``2^-k`` and ``1 - 2^-k``
+    graded toward both ends: a Newton step or an end probe integrates only
+    from its nearest mesh point.  The weight is neither rebuilt nor checked
+    again.  The domain of ``q`` is the end rule of :func:`numeric_inverse`,
+    and the score range is ``psi`` at its two ends.
     """
     if wf.has_atoms:
         raise ValueError("canonical link is undefined for weights with atoms")
-    W = wf.W if wf.W is not None else array_fn(antiderivative(wf.w, 0.5, wf.knots))
+    W = wf.W if wf.W is not None else array_fn(antiderivative(wf.w, 0.5, _MESH + wf.knots))
     W_half = float(W(0.5))
     psi = lambda x: W(x) - W_half
     q = numeric_inverse(psi, dpsi=wf.w)

@@ -10,6 +10,7 @@ from multiple threads.
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import itertools
 import math
@@ -334,19 +335,41 @@ def antiderivative(f: Callable, anchor: float, knots) -> Callable:
     Below the anchor the value is ``-integral of f from x to anchor``, so the
     sign follows the orientation of the interval and the value at the anchor
     itself is +0.0.  ``f`` must accept ndarrays (see :func:`integrate`).  The
-    integral splits at the ``knots``, where ``f`` may jump or kink, and the
-    pieces of all points of a call share one lockstep :func:`integrate`: a
-    point's value does not depend on the others, and the first failing
-    point's error is raised.
+    panels between consecutive points of ``{anchor} ∪ knots`` (where ``f`` may
+    jump or kink, or a mesh graded toward a singular end) are integrated once,
+    here, in one lockstep :func:`integrate`, and their sums from the anchor
+    kept.  A point adds the piece from its nearest table point on the anchor's
+    side, the pieces of all points of a call in one lockstep :func:`integrate`:
+    a point's value does not depend on the others, and the first failing
+    point's error is raised.  Without knots a value is bitwise the bare
+    integral.  Past a panel that fails alone, a point integrates its whole
+    span, split at the table points, and so raises.
     """
     anchor = float(anchor)
-    knots = np.unique(np.asarray(knots, dtype=float))
+    points = np.union1d(np.asarray(knots, dtype=float), [anchor])
+    home = int(np.searchsorted(points, anchor))
+    try:
+        panels = integrate(f, points[:-1], points[1:])
+    except NumericsError:   # each panel alone, so that one failing panel spoils no other
+        panels = np.full(points.size - 1, np.nan)
+        for i in range(panels.size):
+            with contextlib.suppress(NumericsError):
+                panels[i] = integrate(f, points[i], points[i + 1])
+    # -0.0 at the anchor adds nothing, not even a sign
+    sums = np.concatenate([-np.cumsum(panels[:home][::-1])[::-1], [-0.0], np.cumsum(panels[home:])])
     integrals = lambda p, q: integrate(f, p, q)
 
     def F(x):
         xs = np.asarray(x, dtype=float)
-        v = _by_pieces(integrals, np.minimum(xs, anchor), np.maximum(xs, anchor), knots)
-        return np.where(xs >= anchor, v, -v)
+        up = xs >= anchor
+        j = np.where(up, np.searchsorted(points, xs, "right") - 1,
+                     np.minimum(np.searchsorted(points, xs), home))   # NaN sorts last
+        if np.isnan(sums[j]).any():
+            v = _by_pieces(integrals, np.minimum(xs, anchor), np.maximum(xs, anchor), points)
+            return np.where(up, v, -v)
+        base = points[j]
+        v = integrate(f, np.minimum(xs, base), np.maximum(xs, base))
+        return sums[j] + np.where(up, v, -v)
 
     return F
 

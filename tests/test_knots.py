@@ -19,7 +19,7 @@ from cploss.expressions import ExpressionError, compile_expression, expression_k
 from cploss.links import canonical_link
 from cploss.proper import from_weight, schervish_check
 from cploss.weights import WeightFunction
-from weight_strategies import BETA_ENVELOPES, beta_source
+from weight_strategies import BETA_ENVELOPES, BETA_EXPONENTS, beta_source
 
 XS = np.linspace(0.01, 0.99, 99)
 
@@ -142,16 +142,22 @@ def _mp_integral(f, edges):
     return total
 
 
+def _mp_envelope(op, a1, b1, a2, b2):
+    """The envelope as ``w(c, 1 - c)``, and where its two members cross (at the working precision)."""
+    a1, b1, a2, b2 = map(mp.mpf, (a1, b1, a2, b2))
+    pick = min if op == "min" else max
+    w = lambda c, d: pick(c ** (a1 - 1) * d ** (b1 - 1), c ** (a2 - 1) * d ** (b2 - 1))
+    # log B1 - log B2: monotone, with a root in (0, 1) where its ends differ in sign
+    g = lambda c: (a1 - a2) * mp.log(c) + (b1 - b2) * mp.log1p(-c)
+    lo, hi = mp.mpf(10) ** -25, 1 - mp.mpf(10) ** -25
+    cuts = [mp.findroot(g, (lo, hi), solver="illinois", verify=False)] if g(lo) * g(hi) < 0 else []
+    return w, cuts
+
+
 def _mp_envelope_partials(op, a1, b1, a2, b2):
     """(ell_pos, ell_neg) at PARTIAL_POINTS, split where the two members cross."""
     with mp.workdps(30):
-        a1, b1, a2, b2 = map(mp.mpf, (a1, b1, a2, b2))
-        pick = min if op == "min" else max
-        w = lambda c, d: pick(c ** (a1 - 1) * d ** (b1 - 1), c ** (a2 - 1) * d ** (b2 - 1))
-        # log B1 - log B2: monotone, with a root in (0, 1) where its ends differ in sign
-        g = lambda c: (a1 - a2) * mp.log(c) + (b1 - b2) * mp.log1p(-c)
-        lo, hi = mp.mpf(10) ** -25, 1 - mp.mpf(10) ** -25
-        cuts = [mp.findroot(g, (lo, hi), solver="illinois", verify=False)] if g(lo) * g(hi) < 0 else []
+        w, cuts = _mp_envelope(op, a1, b1, a2, b2)
         out = []
         for e in map(mp.mpf, PARTIAL_POINTS):
             pos = _mp_integral(lambda c, d: d * w(c, d), [e, *[k for k in cuts if k > e], 1])
@@ -173,3 +179,62 @@ def test_envelope_partials_match_mpmath(envelope):
     pts = np.array(PARTIAL_POINTS)
     got = np.stack([loss.ell_pos(pts), loss.ell_neg(pts)], axis=1)
     assert got == pytest.approx(_mp_envelope_partials(op, a1, b1, a2, b2), rel=1e-9)
+
+
+# -- generated property: canonical links by quadrature against mpmath ---------
+
+PSI_POINTS = np.array([1e-9, 1e-6, 1e-3, 0.1, 0.3, 0.7, 0.9, 0.999, 1.0 - 1e-6])
+
+
+def _mp_psi(w, cuts, xs):
+    """The integral of ``w(c, 1 - c)`` from 1/2 to each x of ``xs``, summed outward
+    from 1/2 over panels graded by 4 in the distance t from the nearer end and cut
+    at ``cuts``: ``c = t`` below 1/2 and ``c = 1 - t`` above, so no digit of
+    ``1 - c`` is lost."""
+    half, psi = mp.mpf(1) / 2, {}
+    for sign, to_t, f in ((-1, lambda c: c, lambda t: w(t, 1 - t)),
+                          (1, lambda c: 1 - c, lambda t: w(1 - t, t))):
+        side = [x for x in xs if sign * (x - 0.5) > 0]
+        ts = [to_t(mp.mpf(x)) for x in side]
+        edges = {half, *ts, *[to_t(k) for k in cuts if min(ts) < to_t(k) < half],
+                 *[half / 4 ** k for k in range(1, 20) if half / 4 ** k > min(ts)]}
+        edges, total, acc = sorted(edges, reverse=True), mp.mpf(0), {}
+        for hi, lo in zip(edges, edges[1:]):
+            total += mp.quad(f, [lo, hi])
+            acc[lo] = total
+        psi.update({x: float(sign * acc[t]) for x, t in zip(side, ts)})
+    return np.array([psi[x] for x in xs])
+
+
+def _assert_canonical_psi_matches_mpmath(source, envelope):
+    wf = _build_weight({"weight": {"expr": source}})
+    link = canonical_link(wf)
+    psi = link.psi(PSI_POINTS)
+    with mp.workdps(30):
+        want = _mp_psi(*_mp_envelope(*envelope), PSI_POINTS.tolist())
+    assert np.all(np.abs(psi - want) <= 1e-10 * np.abs(want))
+    # q resolves x only to the distance over which psi's last bits hold, eps |psi| / w
+    spread = 4.0 * np.finfo(float).eps * np.abs(psi) / wf.w(PSI_POINTS)
+    assert np.all(np.abs(link.q(psi) - PSI_POINTS) <= 1e-9 + spread)
+
+
+@settings(max_examples=15, deadline=None)
+@given(*BETA_EXPONENTS)
+@example(-0.9, -0.9)
+@example(-0.5, -0.5)
+@example(0.0, 0.0)
+@example(3.0, 3.0)
+@example(0.0, 2.5)     # psi(1 - 1e-6) lies 4e-16 below psi at the domain end 1 - 1e-12
+def test_beta_canonical_psi_matches_mpmath(a, b):
+    _assert_canonical_psi_matches_mpmath(beta_source(a, b), ("min", a, b, a, b))
+
+
+@settings(max_examples=15, deadline=None)
+@given(BETA_ENVELOPES)
+@example(("min", -0.9, 3.0, 3.0, -0.9))
+@example(("max", -0.5, -0.5, 0.5, 2.0))
+@example(("min", 0.0, 0.0, 1.0, -1e-05))     # crosses at 1 - 9.28e-5
+def test_envelope_canonical_psi_matches_mpmath(envelope):
+    op, a1, b1, a2, b2 = envelope
+    _assert_canonical_psi_matches_mpmath(f"{op}({beta_source(a1, b1)}, {beta_source(a2, b2)})",
+                                         envelope)

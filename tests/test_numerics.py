@@ -19,6 +19,7 @@ from scipy.optimize import minimize_scalar as scipy_minimize
 import cploss
 from cploss import numerics
 from cploss.expressions import compile_expression
+from cploss.links import _MESH
 from cploss.numerics import (
     IntegrationError,
     NumericsError,
@@ -384,6 +385,17 @@ class TestLockstep:
         _assert_batch_is_each_alone(lambda idx: _outcome(lambda: F(xs[idx])),
                                     lambda i: _outcome(lambda: F(xs[i])), len(xs))
 
+    @settings(max_examples=30, deadline=None)
+    @given(*BETA_EXPONENTS, UNIT_BOUND, st.lists(UNIT_BOUND, min_size=1, max_size=6),
+           st.lists(UNIT_BOUND, min_size=1, max_size=4))
+    @example(-0.5, -0.5, 0.5, [1e-12, 0.3, 0.5, 1.0 - 1e-9], list(_MESH))
+    @example(-0.9, -0.9, 0.3, [0.1, 0.2, 0.5, 0.9], [0.0, 0.2, 0.6, 1.0])  # end panels diverge
+    def test_antiderivative_with_knots_is_each_point_alone(self, a, b, anchor, xs, knots):
+        F = antiderivative(beta_expression(a, b), anchor, knots)
+        xs = np.array(xs)
+        _assert_batch_is_each_alone(lambda idx: _outcome(lambda: F(xs[idx])),
+                                    lambda i: _outcome(lambda: F(xs[i])), len(xs))
+
     @staticmethod
     def failing_in_every_way(x):
         # divergent at 0, NaN on (0.5, 0.55), finite but overflowing the panel sums above 0.75
@@ -500,11 +512,35 @@ class TestAntiderivative:
         f = lambda c: np.exp(c)
         assert float(antiderivative(f, 0.8, ())(0.2)) == -integrate(f, 0.2, 0.8)
         assert float(antiderivative(f, 0.2, ())(0.8)) == integrate(f, 0.2, 0.8)
+        xs = np.array([0.0, 0.2, 0.5, 0.7, 1.0])   # knot-free: bitwise the bare integrals
+        v = integrate(f, np.minimum(xs, 0.5), np.maximum(xs, 0.5))
+        assert antiderivative(f, 0.5, ())(xs).tobytes() == np.where(xs >= 0.5, v, -v).tobytes()
 
     def test_value_at_anchor_is_positive_zero(self):
         F = antiderivative(lambda c: np.ones_like(c), 1.0, ())
         value = float(F(1.0))
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+    def test_a_table_point_sums_the_panels_from_the_anchor(self):
+        f = lambda c: np.exp(c)
+        F = antiderivative(f, 0.5, (0.1, 0.25, 0.75, 0.9))
+        assert float(F(0.9)) == integrate(f, 0.5, 0.75) + integrate(f, 0.75, 0.9)
+        assert float(F(0.1)) == -integrate(f, 0.25, 0.5) - integrate(f, 0.1, 0.25)
+        # a point between table points adds the piece from the one on the anchor's side
+        assert float(F(0.8)) == float(F(0.75)) + integrate(f, 0.75, 0.8)
+        assert float(F(0.2)) == float(F(0.25)) - integrate(f, 0.2, 0.25)
+        xs = np.linspace(0.0, 1.0, 11)
+        assert np.allclose(F(xs), np.exp(xs) - np.exp(0.5), rtol=0, atol=1e-14)
+
+    def test_a_failing_panel_spoils_only_the_points_beyond_it(self):
+        f = TestLockstep.failing_in_every_way    # NaN on (0.5, 0.55)
+        with np.errstate(all="ignore"):
+            F = antiderivative(f, 0.3, (0.5, 0.55, 0.6))
+            assert np.allclose(F(np.array([0.3, 0.4, 0.5])), [0.0, 0.1, 0.2], rtol=0, atol=1e-15)
+            alone = _outcome(lambda: integrate(f, 0.5, 0.55))
+            assert isinstance(alone, tuple) and "non-finite value" in alone[1]
+            assert _outcome(lambda: F(np.array([0.4, 0.58]))) == alone
+            assert _outcome(lambda: F(0.7)) == alone
 
     def test_keeps_the_shape_of_its_argument(self):
         F = antiderivative(lambda c: 2.0 * c, 0.0, ())

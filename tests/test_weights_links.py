@@ -449,3 +449,35 @@ class TestNumericInverse:
         calls.clear()
         link.psi(np.linspace(0.01, 0.99, 99))
         assert len(calls) // 2 <= 25   # q reads phi' twice; bisection took 49 calls of q
+
+    def test_quadrature_canonical_link_reads_its_graded_table(self):
+        # psi, each Newton step of q and each end probe integrate only from the
+        # nearest table point; integrating every one from 1/2 took 989 calls of w
+        calls = []
+        wf = WeightFunction(w=_counting(beta_expression(-0.5, -0.5), calls))
+        calls.clear()
+        link = canonical_link(wf)
+        xs = np.linspace(0.01, 0.99, 99)
+        assert np.max(np.abs(link.q(link.psi(xs)) - xs)) <= 1e-9
+        assert len(calls) <= 250
+
+    # a NaN score is no score: it never steps, and its inverse is NaN as in the closed forms
+    def test_nan_target_of_a_canonical_inverse(self):
+        q = canonical_link(catalog_weight("log")).q
+        assert np.isnan(q(np.nan))
+        assert np.array_equal(q(np.array([np.nan, 0.0, -np.inf])), [np.nan, 0.5, q(-np.inf)],
+                              equal_nan=True)
+
+    def test_nan_target_of_a_margin_link(self):
+        psi = margin_to_link(logistic_margin()).psi
+        assert np.isnan(psi(np.nan))
+        assert np.array_equal(np.isnan(psi(np.array([0.3, np.nan, 0.7]))), [False, True, False])
+
+    def test_nan_target_on_a_given_domain(self):
+        calls = []
+        q = numeric_inverse(_counting(lambda x: x ** 3, calls), domain=(-1.0, 1.0))
+        calls.clear()
+        assert np.isnan(q(np.nan)) and calls == []
+        got = q(np.array([np.nan, 0.125, -2.0, np.inf]))
+        assert np.allclose(got, [np.nan, 0.5, -1.0, 1.0], rtol=0, atol=1e-12, equal_nan=True)
+        assert calls and max(calls) == 1   # only 0.125 steps
