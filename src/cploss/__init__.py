@@ -7,6 +7,11 @@ This package synthesises losses from weights, certifies convexity,
 properness and classification calibration, computes regrets and Bregman
 divergences, analyses robustness to symmetric label noise, and reproduces
 a two-surrogate risk study with frozen reference values.
+
+Kept public though no entry point needs them: the return types ``MinimizeResult``,
+``RobustInterval``, ``SurrogateReport``, ``ConvexityReport``, ``RegionCurve`` and
+``QuadratureSpec``, and the tested paper identities ``bayes_risk_prime``,
+``surrogate_penalty`` and ``zero_one_linear_risk``.
 """
 
 from .numerics import (
@@ -21,7 +26,7 @@ from .numerics import (
     lambert_w0,
     minimize_scalar,
 )
-from .weights import WeightFunction, catalog_weight, normalize_weight, tabulated_weight
+from .weights import WeightFunction, catalog_weight, tabulated_weight
 from .links import Link, canonical_link, catalog_link, numeric_inverse, rho_of
 from .proper import (
     ImpropernessError,
@@ -42,9 +47,7 @@ from .proper import (
 from .composite import (
     CompositeLoss,
     MarginLoss,
-    composite_conditional_risk,
     composite_from_margin,
-    composite_regret,
     duality_residual,
     exponential_margin,
     logistic_margin,

@@ -25,7 +25,7 @@ from .composite import CompositeLoss
 from .links import Link, rho_of
 from .numerics import NumericsError
 from .proper import ProperLoss, _weight_readings
-from .weights import WeightFunction, normalize_weight, tabulated_weight
+from .weights import WeightFunction, tabulated_weight
 
 __all__ = [
     "ConvexityReport",
@@ -115,8 +115,14 @@ class RegionCurve:
     link_name: str = ""
 
     def contains(self, wf: WeightFunction, tol: float = 1e-9) -> bool:
-        """Whether the (normalised) weight lies inside the region on the grid."""
-        w = normalize_weight(wf).w(self.xs)
+        """Whether ``w / w(1/2)`` lies inside the region on the grid; ``ValueError`` for
+        an atom at 1/2 or a ``w(1/2)`` that is not finite and positive."""
+        if _atom_at(wf, 0.5):
+            raise ValueError("cannot normalise a weight with an atom at 1/2")
+        w_half = float(wf.w(0.5))
+        if not 0.0 < w_half < np.inf:
+            raise ValueError(f"w(1/2) must be finite and positive to normalise, got {w_half}")
+        w = wf.w(self.xs) / w_half
         lo_bound = np.where(self.xs >= 0.5, self.lower, self.upper)
         hi_bound = np.where(self.xs >= 0.5, self.upper, self.lower)
         slack = tol * np.maximum(1.0, np.maximum(np.abs(lo_bound), np.abs(hi_bound)))

@@ -19,16 +19,14 @@ import numpy as np
 
 from .links import Link, numeric_inverse, rho_of
 from .numerics import NumericsError, antiderivative, array_fn, finite_diff
-from .proper import ProperLoss, _Loss, conditional_risk, regret
+from .proper import ProperLoss, _Loss
 from .weights import WeightFunction
 
 __all__ = [
     "CompositeLoss",
     "MarginLoss",
     "make_composite",
-    "composite_conditional_risk",
     "score_gradients",
-    "composite_regret",
     "reference_link",
     "margin_to_link",
     "composite_from_margin",
@@ -70,6 +68,13 @@ class CompositeLoss(_Loss):
         e = self.link.q(v)
         return (e - eta) * self.rho(e)
 
+    def _check_pred(self, v):
+        if not self.link.contains(v):
+            raise ValueError(f"score {v} outside link range {self.link.range}")
+
+    def _bayes_risk(self, eta):
+        return self.base._bayes_risk(eta)
+
 
 @dataclass(frozen=True)
 class MarginLoss:
@@ -97,13 +102,6 @@ def make_composite(base: ProperLoss, link: Link) -> CompositeLoss:
     return CompositeLoss(base=base, link=link)
 
 
-def composite_conditional_risk(cl: CompositeLoss, eta: float, v: float):
-    """Expected composite loss at score ``v``: the base risk at q(v)."""
-    if not cl.link.contains(v):
-        raise ValueError(f"score {v!r} outside link range {cl.link.range}")
-    return conditional_risk(cl.base, eta, cl.link.q(v))
-
-
 def score_gradients(cl: CompositeLoss, v: float) -> tuple[float, float]:
     """Score derivatives of the two partial composite losses at ``v``.
 
@@ -121,11 +119,6 @@ def score_gradients(cl: CompositeLoss, v: float) -> tuple[float, float]:
     if not np.isfinite(r):
         raise NumericsError(f"rho(q(v)) = {r} is not finite at v={v!r}")
     return ((etahat - 1.0) * r, etahat * r)
-
-
-def composite_regret(cl: CompositeLoss, eta: float, v: float) -> float:
-    """Excess composite risk over the Bayes risk: the base regret at q(v)."""
-    return regret(cl.base, eta, float(cl.link.q(v)))
 
 
 def _gap_link(lam_pos_prime: Callable, lam_neg_prime: Callable,
@@ -159,7 +152,7 @@ def _gap_link(lam_pos_prime: Callable, lam_neg_prime: Callable,
 
     def psi_prime(x):
         # finite_diff gives a Python float for a 0-d x, and 1.0 / 0.0 would raise
-        return np.divide(1.0, finite_diff(q, psi(x), 1, h=1e-6))
+        return np.divide(1.0, finite_diff(q, psi(x), h=1e-6))
 
     return Link(psi=psi, psi_prime=psi_prime, q=q, range=tuple(v_range), name=name)
 

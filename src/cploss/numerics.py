@@ -525,24 +525,18 @@ def lambert_w0(z: float) -> float:
     return w
 
 
-def finite_diff(f: Callable, x, order: int = 1, h=None):
-    """Central finite-difference estimate of f' or f'' at ``x``.
+def finite_diff(f: Callable, x, *, h=None):
+    """Central finite-difference estimate of f' at ``x``.
 
     A scalar ``x`` gives a float.  An ndarray ``x`` needs an ``f`` that maps
     arrays elementwise and gives an array of its shape, with the default
     step ``1e-5 * max(1, |x|)`` taken per point.
     """
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
     scalar = np.ndim(x) == 0
     x = np.asarray(x, dtype=float)
     if h is None:
         h = 1e-5 * np.maximum(1.0, np.abs(x))
     if np.any(np.asarray(h) <= 0):
         raise ValueError("h must be positive")
-    ev = lambda t: np.asarray(f(t), dtype=float)
-    if order == 1:
-        d = (ev(x + h) - ev(x - h)) / (2.0 * h)
-    else:
-        d = (ev(x + h) - 2.0 * ev(x) + ev(x - h)) / (h * h)
+    d = (np.asarray(f(x + h), dtype=float) - np.asarray(f(x - h), dtype=float)) / (2.0 * h)
     return float(d) if scalar else d

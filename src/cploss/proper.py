@@ -44,7 +44,8 @@ class ImpropernessError(ValueError):
 
 
 class _Loss:
-    """Partials ``ell_pos(pred)``, ``ell_neg(pred)`` on the loss's scale: probability or score."""
+    """Partials ``ell_pos(pred)``, ``ell_neg(pred)`` on the loss's scale: probability or score;
+    each kind's ``_check_pred`` raises ``ValueError`` off that scale, ``_bayes_risk`` is the least risk."""
 
     def ell(self, y: int, pred):
         """Loss of the prediction ``pred`` against label ``y`` in {-1, +1}."""
@@ -84,6 +85,12 @@ class ProperLoss(_Loss):
             raise ValueError("the risk slope is undefined for weights with atoms")
         return (e - eta) * self.weight.w(e)
 
+    def _check_pred(self, e):
+        _check_unit("etahat", e)
+
+    def _bayes_risk(self, eta):
+        return _risk_terms(self, eta, eta)
+
     def validate(self) -> None:
         """Probe fairness and nonnegativity on a small grid.
 
@@ -108,6 +115,24 @@ def _dyadic_strictness(wf: WeightFunction) -> bool:
     return not np.any(zero[:-2] & zero[1:-1] & zero[2:])
 
 
+def _fair_partial(wf: WeightFunction, y: int, continuous: Callable | None = None) -> Callable:
+    """``ell_y`` (y = +-1) of the fair proper loss of ``wf``: its ``continuous`` part (default: by
+    quadrature split at the knots, the integral of (1-c) w(c) over [e, 1] or of c w(c) over [0, e])
+    plus, for each atom (c, m), the step of the cost loss at c."""
+    if continuous is None:
+        w = wf.w
+        continuous = (antiderivative(lambda c: -(1.0 - c) * w(c), 1.0, wf.knots) if y == 1
+                      else antiderivative(lambda c: c * w(c), 0.0, wf.knots))
+
+    def partial(e):
+        total = continuous(e)
+        for c, m in wf.atoms:
+            total = total + (m * (1.0 - c) * (e < c) if y == 1 else m * c * (e >= c))
+        return total
+
+    return partial
+
+
 def from_weight(wf: WeightFunction) -> ProperLoss:
     """Build the fair proper loss whose weight function is ``wf``.
 
@@ -117,6 +142,7 @@ def from_weight(wf: WeightFunction) -> ProperLoss:
     contribute exact step terms.  Partial losses of non-definite weights
     evaluate to +inf at the offending endpoint but remain usable on (0, 1).
     """
+    continuous_pos = continuous_neg = None   # by quadrature
     if wf.is_pure_atomic:
         continuous_pos = continuous_neg = np.zeros_like
     elif wf.W is not None and wf.Wbar is not None:
@@ -133,29 +159,10 @@ def from_weight(wf: WeightFunction) -> ProperLoss:
 
         def continuous_neg(e):
             return wbar0 - Wbar(e) + np.where(e > 0.0, e * Wf(e), 0.0)
-    else:
-        # ell_pos(e) = integral of (1-c) w(c) over [e, 1], written as the
-        # antiderivative of -(1-c) w anchored at 1; ell_neg(e) = integral of
-        # c w(c) over [0, e].
-        w = wf.w
-        continuous_pos = antiderivative(lambda c: -(1.0 - c) * w(c), 1.0, wf.knots)
-        continuous_neg = antiderivative(lambda c: c * w(c), 0.0, wf.knots)
-
-    def ell_pos(e):
-        total = continuous_pos(e)
-        for c, m in wf.atoms:
-            total = total + m * (1.0 - c) * (e < c)
-        return total
-
-    def ell_neg(e):
-        total = continuous_neg(e)
-        for c, m in wf.atoms:
-            total = total + m * c * (e >= c)
-        return total
 
     loss = ProperLoss(
-        ell_pos=ell_pos,
-        ell_neg=ell_neg,
+        ell_pos=_fair_partial(wf, 1, continuous_pos),
+        ell_neg=_fair_partial(wf, -1, continuous_neg),
         weight=wf,
         fair=True,
         strictly_proper=_dyadic_strictness(wf),
@@ -201,24 +208,33 @@ def _risk_terms(loss, eta, pred):
     return total
 
 
+def _check_unit(name: str, x) -> np.ndarray:
+    """``x`` as a float array; ``ValueError`` unless every entry lies in [0, 1] (NaN too)."""
+    x = np.asarray(x, dtype=float)
+    if not np.all((x >= 0.0) & (x <= 1.0)):
+        raise ValueError(f"{name} must lie in [0,1], got {x}")
+    return x
+
+
 def conditional_risk(loss, eta, etahat):
     """Expected loss eta*ell_pos(etahat) + (1-eta)*ell_neg(etahat).
 
-    A partial is read only where its term has positive weight, so a perfect
-    prediction never produces 0*inf.  ``eta`` and ``etahat`` broadcast; the
-    result is a float when both are scalars.
+    ``etahat`` is on the loss's own scale: a probability, a score in a
+    composite's link range, or a noisy loss's base's; off it, or with ``eta``
+    outside [0, 1], ``ValueError``.  A partial is read only where its term has
+    positive weight, so a perfect prediction never produces 0*inf.  ``eta``
+    and ``etahat`` broadcast; the result is a float when both are scalars.
     """
-    eta, e = np.asarray(eta, dtype=float), np.asarray(etahat, dtype=float)
-    for name, x in (("eta", eta), ("etahat", e)):
-        if not np.all((x >= 0.0) & (x <= 1.0)):
-            raise ValueError(f"{name} must lie in [0,1], got {x}")
-    out = _risk_terms(loss, eta, e)
+    eta, pred = _check_unit("eta", eta), np.asarray(etahat, dtype=float)
+    loss._check_pred(pred)
+    out = _risk_terms(loss, eta, pred)
     return float(out) if np.ndim(out) == 0 else out
 
 
 def bayes_risk(loss, eta):
-    """Conditional risk of the honest prediction etahat = eta (elementwise)."""
-    return conditional_risk(loss, eta, eta)
+    """The least conditional risk at ``eta`` (elementwise); a composite's is its base's."""
+    out = loss._bayes_risk(_check_unit("eta", eta))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def bayes_risk_prime(loss, eta: float) -> float:
@@ -244,7 +260,7 @@ def savage_check(loss, grid: Iterable[tuple[float, float]]) -> float:
     """
     eta, etahat = np.asarray(list(grid), dtype=float).reshape(-1, 2).T
     lhs = conditional_risk(loss, eta, etahat)
-    dbar = finite_diff(lambda t: bayes_risk(loss, t), etahat, 1)
+    dbar = finite_diff(lambda t: bayes_risk(loss, t), etahat)
     rhs = bayes_risk(loss, etahat) + (eta - etahat) * dbar
     return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
@@ -263,14 +279,7 @@ def schervish_check(loss, y: int, etahat: float) -> float:
     etahat = float(etahat)
     if not 0.0 <= etahat <= 1.0:
         raise ValueError("etahat must lie in [0,1]")
-    wf = loss.weight
-    if y == -1:
-        F = antiderivative(lambda c: c * wf.w(c), 0.0, wf.knots)
-        atom_term = sum(m * c * (etahat >= c) for c, m in wf.atoms)
-    else:
-        F = antiderivative(lambda c: -(1.0 - c) * wf.w(c), 1.0, wf.knots)
-        atom_term = sum(m * (1.0 - c) * (etahat < c) for c, m in wf.atoms)
-    return float(F(etahat)) + atom_term
+    return float(_fair_partial(loss.weight, y)(etahat))
 
 
 def _weight_readings(ell_pos: Callable, ell_neg: Callable, xs: Sequence[float]):
@@ -281,8 +290,8 @@ def _weight_readings(ell_pos: Callable, ell_neg: Callable, xs: Sequence[float]):
     """
     xs = np.asarray(xs, dtype=float)
     ell_pos, ell_neg = array_fn(ell_pos), array_fn(ell_neg)
-    r_neg = finite_diff(ell_neg, xs, 1) / xs
-    r_pos = -finite_diff(ell_pos, xs, 1) / (1.0 - xs)
+    r_neg = finite_diff(ell_neg, xs) / xs
+    r_pos = -finite_diff(ell_pos, xs) / (1.0 - xs)
     bad = ~(np.isfinite(r_pos) & np.isfinite(r_neg))
     if np.any(bad):
         i = int(np.argmax(bad))

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .proper import _Loss, _risk_terms
+from .proper import _check_unit, _Loss, _risk_terms
 from .weights import WeightFunction
 
 __all__ = [
@@ -45,9 +45,7 @@ def corrupt(eta: float, alpha: float):
     Lands in [alpha, 1-alpha] and never crosses 1/2; ``ValueError`` unless 0 <= eta <= 1 (NaN too).
     """
     alpha = _check_alpha(alpha)
-    e = np.asarray(eta, dtype=float)
-    if not np.all((e >= 0.0) & (e <= 1.0)):
-        raise ValueError(f"eta must lie in [0,1], got {e}")
+    e = _check_unit("eta", eta)
     out = alpha * (1.0 - e) + (1.0 - alpha) * e
     return float(out) if np.ndim(eta) == 0 else out
 
@@ -69,12 +67,14 @@ class NoisyLoss(_Loss):
     def ell_neg(self, v):
         return _risk_terms(self.base, self.alpha, v)
 
-    def conditional_risk(self, eta: float, v):
-        out = _risk_terms(self, float(eta), v)
-        return float(out) if np.ndim(v) == 0 else out
+    def _risk_slope(self, eta, v):   # the base's, at the corrupted eta
+        return self.base._risk_slope(corrupt(eta, self.alpha), v)
 
-    def _risk_slope(self, eta, v):   # the base's, at the flipped eta
-        return self.base._risk_slope(self.alpha * (1.0 - eta) + (1.0 - self.alpha) * eta, v)
+    def _check_pred(self, v):
+        self.base._check_pred(v)
+
+    def _bayes_risk(self, eta):   # the base's, at the corrupted eta
+        return self.base._bayes_risk(corrupt(eta, self.alpha))
 
 
 def noisy_loss(cl, alpha: float) -> NoisyLoss:
@@ -202,9 +202,8 @@ def proper_nonrobust_region(wf: WeightFunction, alpha: float,
     return _merge(clipped, gap=step)
 
 
-def nonrobust_region_report(wf: WeightFunction, alpha: float,
-                            grid: Sequence[float] | None = None) -> dict:
-    union = proper_nonrobust_region(wf, alpha, grid)
+def nonrobust_region_report(wf: WeightFunction, alpha: float) -> dict:
+    union = proper_nonrobust_region(wf, alpha)
     return {
         "weight": wf.name,
         "alpha": float(alpha),

@@ -24,7 +24,6 @@ from .numerics import NumericsError, QuadratureSpec, _by_pieces, array_fn, integ
 __all__ = [
     "WeightFunction",
     "catalog_weight",
-    "normalize_weight",
     "tabulated_weight",
     "WEIGHT_CATALOG_INFO",
 ]
@@ -309,24 +308,3 @@ def catalog_weight(name: str, params: dict | None = None) -> WeightFunction:
             raise ValueError("custom-tabulated weight requires parameter 'table'")
         return tabulated_weight(params["table"])
     raise ValueError(f"unknown weight name {name!r}")
-
-
-def normalize_weight(wf: WeightFunction) -> WeightFunction:
-    """Rescale so that w(1/2) = 1 (atoms scaled by the same factor)."""
-    for c, _ in wf.atoms:
-        if abs(c - 0.5) < 1e-12:
-            raise ValueError("cannot normalise a weight with an atom at 1/2")
-    w_half = float(wf.w(0.5))
-    if not np.isfinite(w_half) or w_half <= 0.0:
-        raise ValueError(f"w(1/2) must be finite and positive to normalise, got {w_half}")
-    s = 1.0 / w_half
-    scale = lambda fn: (None if fn is None else lambda c, _f=fn: s * _f(c))
-    return WeightFunction(
-        w=scale(wf.w),
-        W=scale(wf.W),
-        Wbar=scale(wf.Wbar),
-        atoms=tuple((c, s * m) for c, m in wf.atoms),
-        name=f"{wf.name}-normalized",
-        knots=wf.knots,
-    )
-

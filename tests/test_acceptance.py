@@ -31,7 +31,7 @@ from cploss.experiments import (
 )
 from cploss.links import canonical_link, catalog_link
 from cploss.numerics import finite_diff
-from cploss.proper import catalog_loss, cost_loss, from_weight, reconstruct_symmetric
+from cploss.proper import catalog_loss, conditional_risk, cost_loss, from_weight, reconstruct_symmetric
 from cploss.robustness import corrupt, cost_robust_interval, minimizer_set, noisy_loss, proper_nonrobust_region
 from cploss.weights import catalog_weight
 
@@ -176,14 +176,13 @@ def test_criterion_5_robustness():
                         failures.append(("interval mismatch", float(c0), alpha, float(eta)))
     # mixture-vs-corruption identity on a 20 x 20 x 3 grid
     cl = make_composite(catalog_loss("log"), catalog_link("logit"))
-    from cploss.composite import composite_conditional_risk
     worst = 0.0
     for alpha in (0.05, 0.1, 0.3):
         nl = noisy_loss(cl, alpha)
         for eta in np.linspace(0.0, 1.0, 20):
             for v in np.linspace(-4.0, 4.0, 20):
-                lhs = composite_conditional_risk(cl, corrupt(float(eta), alpha), float(v))
-                worst = max(worst, abs(lhs - nl.conditional_risk(float(eta), float(v))))
+                lhs = conditional_risk(cl, corrupt(float(eta), alpha), float(v))
+                worst = max(worst, abs(lhs - conditional_risk(nl, float(eta), float(v))))
     if worst > 1e-12:
         failures.append(("noise identity residual", worst))
     # strictly proper catalog losses: non-robust across the whole grid
@@ -233,8 +232,8 @@ def test_criterion_7_score_gradient_checks():
         worst = 0.0
         for v in vs:
             d_pos, d_neg = score_gradients(cl, float(v))
-            fd_pos = finite_diff(lambda t: float(cl.ell_pos(np.asarray(t))), float(v), 1)
-            fd_neg = finite_diff(lambda t: float(cl.ell_neg(np.asarray(t))), float(v), 1)
+            fd_pos = finite_diff(lambda t: float(cl.ell_pos(np.asarray(t))), float(v))
+            fd_neg = finite_diff(lambda t: float(cl.ell_neg(np.asarray(t))), float(v))
             worst = max(worst,
                         abs(d_pos - fd_pos) / max(1e-12, abs(fd_pos)),
                         abs(d_neg - fd_neg) / max(1e-12, abs(fd_neg)))

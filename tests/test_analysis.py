@@ -401,6 +401,31 @@ class TestAllowableRegion:
         assert np.allclose(parsed[:, 1], curve.lower)
         assert np.allclose(parsed[:, 2], curve.upper)
 
+    def test_membership_divides_by_the_weight_at_one_half(self, monkeypatch):
+        # eight times the minimal weight leaves the identity region near 1/2 by
+        # itself, and lies on its binding envelope once divided by w(1/2) = 8; the
+        # division builds no weight, so no check of W is run again
+        curve = allowable_region(catalog_link("identity"), certification_grid(99))
+        minimal = catalog_weight("minimal")
+        eight = WeightFunction(w=lambda c: 8.0 * minimal.w(c), W=lambda c: 8.0 * minimal.W(c),
+                               name="eight-minimal", knots=minimal.knots)
+        assert np.any(eight.w(curve.xs) > np.maximum(curve.lower, curve.upper))
+        monkeypatch.setattr(WeightFunction, "__post_init__", None)
+        assert curve.contains(eight) and curve.contains(minimal)
+
+    @pytest.mark.parametrize("wname", ["square", "log", "boosting"])
+    def test_membership_does_not_depend_on_scale(self, wname):
+        wf = catalog_weight(wname)
+        curve = allowable_region(catalog_link("logit"), certification_grid(99))
+        for s in (0.125, 3.0):
+            assert curve.contains(WeightFunction(w=lambda c: s * wf.w(c))) == curve.contains(wf)
+
+    @pytest.mark.parametrize("wf", [catalog_weight("zero-one"), catalog_weight("cost", {"c0": 0.3})],
+                             ids=["atom-at-half", "vanishing-centre"])
+    def test_membership_needs_a_finite_positive_centre(self, wf):
+        with pytest.raises(ValueError):
+            allowable_region(catalog_link("identity")).contains(wf)
+
     @pytest.mark.parametrize("wname", WEIGHTS)
     @pytest.mark.parametrize("lname", LINKS)
     def test_region_membership_matches_characterization(self, wname, lname):

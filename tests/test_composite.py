@@ -9,9 +9,7 @@ import pytest
 from cploss.analysis import certification_grid
 from cploss.composite import (
     MarginLoss,
-    composite_conditional_risk,
     composite_from_margin,
-    composite_regret,
     duality_residual,
     exponential_margin,
     logistic_margin,
@@ -23,7 +21,7 @@ from cploss.composite import (
 )
 from cploss.links import catalog_link, canonical_link
 from cploss.numerics import NumericsError, finite_diff
-from cploss.proper import catalog_loss, cost_loss, regret
+from cploss.proper import catalog_loss, conditional_risk, cost_loss, regret
 from cploss.weights import WeightFunction, catalog_weight
 from weight_strategies import beta_expression
 
@@ -74,29 +72,29 @@ class TestConditionalRisk:
         cl = make_composite(catalog_loss("log"), catalog_link("logit"))
         for eta in [0.2, 0.5, 0.8]:
             v_star = float(cl.link.psi(np.asarray(eta)))
-            assert composite_conditional_risk(cl, eta, v_star) == pytest.approx(
+            assert conditional_risk(cl, eta, v_star) == pytest.approx(
                 float(np.asarray(catalog_loss("log").ell_pos(np.asarray(eta))) * eta
                       + np.asarray(catalog_loss("log").ell_neg(np.asarray(eta))) * (1 - eta)))
 
     def test_log_logit_at_zero(self):
         cl = make_composite(catalog_loss("log"), catalog_link("logit"))
-        assert composite_conditional_risk(cl, 0.5, 0.0) == pytest.approx(math.log(2))
+        assert conditional_risk(cl, 0.5, 0.0) == pytest.approx(math.log(2))
 
     def test_exponential_composite_at_zero(self):
         ec = composite_from_margin(exponential_margin())
-        assert composite_conditional_risk(ec, 0.5, 0.0) == pytest.approx(1.0, abs=1e-10)
+        assert conditional_risk(ec, 0.5, 0.0) == pytest.approx(1.0, abs=1e-10)
 
     def test_score_range_enforced(self):
         cl = make_composite(catalog_loss("square"), catalog_link("identity"))
         with pytest.raises(ValueError):
-            composite_conditional_risk(cl, 0.5, 1.5)
+            conditional_risk(cl, 0.5, 1.5)
 
     def test_score_derivative_formula(self):
         # d/dv of the conditional risk is (q(v) - eta) rho(q(v))
         cl = make_composite(catalog_loss("log"), catalog_link("logit"))
         for eta in [0.25, 0.6]:
             for v in [-1.5, 0.0, 2.0]:
-                fd = finite_diff(lambda t: composite_conditional_risk(cl, eta, t), v, 1)
+                fd = finite_diff(lambda t: conditional_risk(cl, eta, t), v)
                 q = float(cl.link.q(np.asarray(v)))
                 want = (q - eta) * float(cl.rho(np.asarray(q)))
                 assert fd == pytest.approx(want, rel=1e-6, abs=1e-9)
@@ -144,8 +142,8 @@ class TestScoreGradients:
         interior = (vs > cl.link.range[0] + 1e-4) & (vs < cl.link.range[1] - 1e-4)
         for v in vs[interior][::7]:
             d_pos, d_neg = score_gradients(cl, float(v))
-            fd_pos = finite_diff(lambda t: float(cl.ell_pos(np.asarray(t))), float(v), 1)
-            fd_neg = finite_diff(lambda t: float(cl.ell_neg(np.asarray(t))), float(v), 1)
+            fd_pos = finite_diff(lambda t: float(cl.ell_pos(np.asarray(t))), float(v))
+            fd_neg = finite_diff(lambda t: float(cl.ell_neg(np.asarray(t))), float(v))
             assert d_pos == pytest.approx(fd_pos, rel=1e-6, abs=1e-8)
             assert d_neg == pytest.approx(fd_neg, rel=1e-6, abs=1e-8)
 
@@ -153,16 +151,16 @@ class TestScoreGradients:
 class TestCompositeRegret:
     def test_zero_at_linked_probability(self):
         cl = make_composite(catalog_loss("log"), catalog_link("logit"))
-        assert composite_regret(cl, 0.4, float(cl.link.psi(np.asarray(0.4)))) == pytest.approx(0.0, abs=1e-12)
+        assert regret(cl, 0.4, float(cl.link.psi(np.asarray(0.4)))) == pytest.approx(0.0, abs=1e-12)
 
     def test_square_identity(self):
         cl = make_composite(catalog_loss("square"), catalog_link("identity"))
-        assert composite_regret(cl, 0.2, 0.7) == pytest.approx(0.125)
+        assert regret(cl, 0.2, 0.7) == pytest.approx(0.125)
 
     def test_reduces_to_base_regret_through_link(self):
         cl = make_composite(catalog_loss("log"), catalog_link("logit"))
         v = float(cl.link.psi(np.asarray(0.25)))
-        assert composite_regret(cl, 0.5, v) == pytest.approx(
+        assert regret(cl, 0.5, v) == pytest.approx(
             regret(catalog_loss("log"), 0.5, 0.25), abs=1e-12)
 
 
@@ -261,7 +259,7 @@ class TestQuasiConvexityAndArgmin:
         grid = certification_grid(499)
         vs = np.asarray(cl.link.psi(grid), dtype=float)
         for eta in [0.1, 0.3, 0.5, 0.7, 0.9]:
-            risks = np.asarray(composite_conditional_risk(cl, eta, vs), dtype=float)
+            risks = np.asarray(conditional_risk(cl, eta, vs), dtype=float)
             diffs = np.diff(risks)
             rising = np.nonzero(diffs > 1e-12)[0]
             if len(rising):
@@ -273,7 +271,7 @@ class TestQuasiConvexityAndArgmin:
         grid = certification_grid(999)
         vs = np.asarray(cl.link.psi(grid), dtype=float)
         for eta in [0.2, 0.5, 0.8]:
-            risks = np.asarray(composite_conditional_risk(cl, eta, vs), dtype=float)
+            risks = np.asarray(conditional_risk(cl, eta, vs), dtype=float)
             k = int(np.argmin(risks))
             v_star = float(cl.link.psi(np.asarray(eta)))
             lo = vs[max(k - 1, 0)]

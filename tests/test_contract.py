@@ -40,10 +40,13 @@ from cploss.expressions import compile_expression
 from cploss.links import LINK_CATALOG_INFO, canonical_link, catalog_link
 from cploss.numerics import NumericsError, array_fn
 from cploss.proper import (
+    bayes_risk,
     catalog_loss,
+    conditional_risk,
     cost_loss,
     from_weight,
     reconstruct_symmetric,
+    regret,
     weight_from_loss,
     zero_one_loss,
 )
@@ -52,7 +55,6 @@ from cploss.weights import (
     WEIGHT_CATALOG_INFO,
     WeightFunction,
     catalog_weight,
-    normalize_weight,
 )
 
 _PARAMS = {"cost": {"c0": 0.3},
@@ -86,7 +88,6 @@ def _objects() -> dict:
                 for name in weights if f"canonical:{name}" in out})
     out["noisy:log"] = noisy_loss(out["loss:log"], 0.1)
     out["noisy:log@logit"] = noisy_loss(out["composite:log@logit"], 0.1)
-    out["normalized:boosting"] = normalize_weight(weights["boosting"])
     out["weight-from-loss:log"] = weight_from_loss(catalog_loss("log"))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the implied weight is huge near the ends
@@ -218,11 +219,90 @@ def test_a_noisy_loss_checks_its_rate(alpha):
         NoisyLoss(OBJECTS["composite:log@logit"], alpha)
 
 
+# The risk calls take every kind of loss on its own prediction scale.
+COMPOSITES = [label for label, obj in LOSSES.items() if isinstance(obj, CompositeLoss)]
+NOISY = [label for label, obj in LOSSES.items() if isinstance(obj, NoisyLoss)]
+ETAS = np.array([0.0, 0.02, 0.3, 0.5, 0.81, 1.0])
+
+
+def _scores(loss) -> np.ndarray:
+    """Scores from near both ends of the link and within it: each composite here
+    has some below 0, so off the probability scale."""
+    inner = loss.base if isinstance(loss, NoisyLoss) else loss
+    probs = np.array([0.02, 0.3, 0.6, 0.97])
+    return inner.link.psi(probs) if isinstance(inner, CompositeLoss) else probs
+
+
+def test_every_composite_kind_is_covered():
+    assert {label.split(":")[0] for label in COMPOSITES} == {"composite", "margin-composite"}
+    assert any(label.endswith("@canonical") for label in COMPOSITES)
+
+
+@pytest.mark.parametrize("label", COMPOSITES)
+def test_a_composite_risk_is_its_base_risk_at_q_of_the_score(label):
+    cl = LOSSES[label]
+    v = _scores(cl)
+    assert np.any(v < 0.0)
+    assert np.array_equal(conditional_risk(cl, ETAS[:, None], v),
+                          conditional_risk(cl.base, ETAS[:, None], cl.link.q(v)))
+    for s in v.tolist():
+        assert conditional_risk(cl, 0.3, s) == conditional_risk(cl.base, 0.3, float(cl.link.q(s)))
+
+
+@pytest.mark.parametrize("label", COMPOSITES)
+def test_a_composite_bayes_risk_is_its_base_bayes_risk(label):
+    cl = LOSSES[label]
+    assert np.array_equal(bayes_risk(cl, ETAS), bayes_risk(cl.base, ETAS))
+    assert bayes_risk(cl, 0.3) == bayes_risk(cl.base, 0.3)
+
+
+@pytest.mark.parametrize("label", NOISY)
+def test_a_noisy_bayes_risk_is_its_base_bayes_risk_at_the_corrupted_eta(label):
+    noisy = LOSSES[label]
+    assert np.array_equal(bayes_risk(noisy, ETAS), bayes_risk(noisy.base, corrupt(ETAS, noisy.alpha)))
+
+
+@pytest.mark.parametrize("label", COMPOSITES + NOISY)
+def test_regret_is_nonnegative_and_vanishes_at_the_linked_eta(label):
+    loss = LOSSES[label]
+    assert np.all(regret(loss, ETAS[:, None], _scores(loss)) >= -1e-15)
+    inner = loss.base if isinstance(loss, NoisyLoss) else loss
+    for eta in (0.2, 0.5, 0.9):
+        best = corrupt(eta, loss.alpha) if isinstance(loss, NoisyLoss) else eta
+        pred = inner.link.psi(best) if isinstance(inner, CompositeLoss) else best
+        assert regret(loss, eta, pred) == pytest.approx(0.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("loss", [
+    make_composite(catalog_loss("square"), catalog_link("identity")),
+    OBJECTS["composite:square@canonical"],
+    OBJECTS["margin-composite:logistic"],
+    noisy_loss(OBJECTS["margin-composite:logistic"], 0.1),
+], ids=["square@identity", "square@canonical", "margin-composite:logistic", "noisy"])
+def test_a_score_outside_the_link_range_raises(loss):
+    hi = loss.link.range[1] if isinstance(loss, CompositeLoss) else loss.base.link.range[1]
+    for call in (conditional_risk, regret):
+        with pytest.raises(ValueError, match="outside link range"):
+            call(loss, 0.3, hi + 0.5)
+        with pytest.raises(ValueError, match="outside link range"):
+            call(loss, 0.3, np.array([0.0, hi + 0.5]))
+
+
+@pytest.mark.parametrize("label", list(LOSSES))
+def test_an_eta_outside_the_unit_interval_raises(label):
+    loss = LOSSES[label]
+    for call in (lambda eta: conditional_risk(loss, eta, _predictions(loss)[0]),
+                 lambda eta: bayes_risk(loss, eta)):
+        for eta in (1.7, -0.1, np.nan):
+            with pytest.raises(ValueError, match="eta must lie in"):
+                call(eta)
+
+
 # Every public setting that has a default: a field of a public dataclass, or
 # a parameter of a public function or method.  A new one shows up here.
 DEFAULTED_SETTINGS = [
     "QuadratureSpec.abs_tol", "QuadratureSpec.rel_tol", "integrate(spec)",
-    "minimize_scalar(tol)", "finite_diff(order)", "finite_diff(h)",
+    "minimize_scalar(tol)", "finite_diff(h)",
     "WeightFunction.W", "WeightFunction.Wbar",
     "WeightFunction.atoms", "WeightFunction.name", "WeightFunction.knots",
     "catalog_weight(params)", "tabulated_weight(name)",
@@ -236,7 +316,7 @@ DEFAULTED_SETTINGS = [
     "ConvexityReport.violation_xs(side)", "RegionCurve.link_name", "RegionCurve.contains(tol)",
     "certification_grid(n)", "convexity_characterization(grid)",
     "convexity_characterization(tol)", "convexity_oracle(score_grid)", "convexity_oracle(tol)",
-    "allowable_region(grid)", "proper_nonrobust_region(grid)", "nonrobust_region_report(grid)",
+    "allowable_region(grid)", "proper_nonrobust_region(grid)",
     "Experiment.name", "constrained_bayes(tol)", "regret_bound_rhs(loss)",
 ]
 
@@ -263,4 +343,4 @@ def test_every_defaulted_public_setting_is_listed():
                           if inspect.isfunction(fn) and not attr.startswith("_")
                           for p in _defaulted(fn)]
     assert found == DEFAULTED_SETTINGS
-    assert len(found) == 43
+    assert len(found) == 41

@@ -9,7 +9,7 @@ import pytest
 from cploss.composite import make_composite
 from cploss.experiments import Experiment, full_risk
 from cploss.links import canonical_link, catalog_link
-from cploss.proper import catalog_loss, cost_loss, zero_one_loss
+from cploss.proper import catalog_loss, conditional_risk, cost_loss, zero_one_loss
 from cploss.robustness import (
     corrupt,
     cost_robust_interval,
@@ -69,23 +69,21 @@ class TestNoisyLoss:
     def test_risk_identity_exact(self):
         # risk of the noisy loss on eta equals the clean risk on eta_alpha
         cl = make_composite(catalog_loss("log"), catalog_link("logit"))
-        from cploss.composite import composite_conditional_risk
         worst = 0.0
         for alpha in [0.05, 0.1, 0.3]:
             noisy = noisy_loss(cl, alpha)
             for eta in np.linspace(0.0, 1.0, 20):
                 for v in np.linspace(-4.0, 4.0, 20):
-                    lhs = composite_conditional_risk(cl, corrupt(float(eta), alpha), float(v))
-                    rhs = noisy.conditional_risk(float(eta), float(v))
+                    lhs = conditional_risk(cl, corrupt(float(eta), alpha), float(v))
+                    rhs = conditional_risk(noisy, float(eta), float(v))
                     worst = max(worst, abs(lhs - rhs))
         assert worst <= 1e-12
 
     def test_spot_identity_value(self):
         cl = make_composite(catalog_loss("square"), catalog_link("identity"))
-        from cploss.composite import composite_conditional_risk
         noisy = noisy_loss(cl, 0.1)
-        lhs = composite_conditional_risk(cl, corrupt(0.3, 0.1), 0.6)
-        assert noisy.conditional_risk(0.3, 0.6) == pytest.approx(lhs, abs=1e-15)
+        lhs = conditional_risk(cl, corrupt(0.3, 0.1), 0.6)
+        assert conditional_risk(noisy, 0.3, 0.6) == pytest.approx(lhs, abs=1e-15)
 
 
 class TestMinimizerSet:
@@ -251,7 +249,7 @@ class TestZeroTimesInfinityGuard:
         noisy = noisy_loss(make_composite(catalog_loss("log"), catalog_link("logit")), 0.1)
         got = minimizer_set(noisy, 0.0, self.SCORES)
         assert len(got) == 1 and got[0] == pytest.approx(np.log(0.1 / 0.9), abs=0.1)
-        risks = noisy.conditional_risk(0.0, self.SCORES)
+        risks = conditional_risk(noisy, 0.0, self.SCORES)
         assert np.isinf(risks[0]) and np.isinf(risks[-1])
         assert np.all(np.isfinite(risks[1:-1]))
 

@@ -14,7 +14,7 @@ from cploss.analysis import convexity_characterization
 from cploss.composite import MarginLoss, logistic_margin, margin_to_link
 from cploss.links import canonical_link, catalog_link, numeric_inverse, rho_of
 from cploss.numerics import NumericsError, finite_diff
-from cploss.weights import WeightFunction, catalog_weight, normalize_weight, tabulated_weight
+from cploss.weights import WeightFunction, catalog_weight, tabulated_weight
 from weight_strategies import BETA_EXPONENTS, beta_expression
 
 GRID = np.linspace(0.05, 0.95, 19)
@@ -68,9 +68,9 @@ class TestWeightCatalog:
         wf = catalog_weight(name)
         for x in GRID:
             x = float(x)
-            dW = finite_diff(lambda t: float(wf.Wbar(np.asarray(t))), x, 1)
+            dW = finite_diff(lambda t: float(wf.Wbar(np.asarray(t))), x)
             assert abs(dW - float(wf.W(np.asarray(x)))) <= 1e-5 * max(1.0, abs(dW))
-            dw = finite_diff(lambda t: float(wf.W(np.asarray(t))), x, 1)
+            dw = finite_diff(lambda t: float(wf.W(np.asarray(t))), x)
             assert abs(dw - float(wf.w(np.asarray(x)))) <= 1.01e-5 * max(1.0, abs(dw))
 
     def test_symmetry_flags(self):
@@ -135,29 +135,6 @@ class TestCatalogIsBuiltOnce:
         assert counts["integrate"] > 0   # the construction checks of W
 
 
-class TestNormalize:
-    def test_log_scales_by_quarter(self):
-        nw = normalize_weight(catalog_weight("log"))
-        assert float(nw.w(np.asarray(0.5))) == pytest.approx(1.0)
-        assert float(nw.w(np.asarray(0.25))) == pytest.approx(0.25 / (0.75 * 0.25))
-
-    def test_square_unchanged(self):
-        nw = normalize_weight(catalog_weight("square"))
-        assert np.allclose(np.asarray(nw.w(GRID)), 1.0)
-
-    def test_boosting_scales_by_eighth(self):
-        nw = normalize_weight(catalog_weight("boosting"))
-        assert float(nw.w(np.asarray(0.25))) == pytest.approx((0.75 * 0.25) ** -1.5 / 8.0)
-
-    def test_atom_at_half_rejected(self):
-        with pytest.raises(ValueError):
-            normalize_weight(catalog_weight("zero-one"))
-
-    def test_vanishing_centre_rejected(self):
-        with pytest.raises(ValueError):
-            normalize_weight(catalog_weight("cost", {"c0": 0.3}))
-
-
 class TestLinkCatalog:
     def test_logit(self):
         lk = catalog_link("logit")
@@ -180,7 +157,7 @@ class TestLinkCatalog:
     def test_cosine_derivative_and_endpoints(self):
         lk = catalog_link("cosine")
         for x in [0.2, 0.5, 0.8]:
-            fd = finite_diff(lambda t: float(lk.psi(np.asarray(t))), x, 1)
+            fd = finite_diff(lambda t: float(lk.psi(np.asarray(t))), x)
             assert fd == pytest.approx(math.pi * math.sin(math.pi * x), rel=1e-6)
         assert float(lk.psi_prime(np.asarray(1e-6))) == pytest.approx(0.0, abs=1e-4)
         assert float(lk.psi_prime(np.asarray(1 - 1e-6))) == pytest.approx(0.0, abs=1e-4)
@@ -229,7 +206,7 @@ class TestCanonicalLink:
         wf = catalog_weight("boosting")
         link = canonical_link(wf)
         for x in np.linspace(0.1, 0.9, 9):
-            fd = finite_diff(lambda t: float(link.psi(np.asarray(t))), float(x), 1)
+            fd = finite_diff(lambda t: float(link.psi(np.asarray(t))), float(x))
             assert fd == pytest.approx(float(wf.w(np.asarray(x))), rel=1e-6)
 
     def test_numeric_inverse_round_trip(self):
