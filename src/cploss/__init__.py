@@ -11,17 +11,17 @@ a two-surrogate risk study with frozen reference values.
 Kept public though no entry point needs them: the return types ``MinimizeResult``,
 ``RobustInterval``, ``SurrogateReport``, ``ConvexityReport``, ``RegionCurve`` and
 ``QuadratureSpec``, and the tested paper identities ``bayes_risk_prime``,
-``surrogate_penalty`` and ``zero_one_linear_risk``.
+``surrogate_penalty`` and ``zero_one_linear_risk``.  The identities of
+:mod:`cploss.proper` take proper losses only.  ``finite_diff`` and
+``DEFAULT_QUADRATURE`` stay internal to :mod:`cploss.numerics`.
 """
 
 from .numerics import (
-    DEFAULT_QUADRATURE,
     IntegrationError,
     MinimizeResult,
     NumericsError,
     QuadratureSpec,
     antiderivative,
-    finite_diff,
     integrate,
     lambert_w0,
     minimize_scalar,

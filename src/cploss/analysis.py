@@ -14,8 +14,6 @@ such, never as a formal proof.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -24,7 +22,7 @@ import numpy as np
 from .composite import CompositeLoss
 from .links import Link, rho_of
 from .numerics import NumericsError
-from .proper import ProperLoss, _weight_readings
+from .proper import _Loss, _require_proper, _weight_readings
 from .weights import WeightFunction, tabulated_weight
 
 __all__ = [
@@ -127,27 +125,6 @@ class RegionCurve:
         hi_bound = np.where(self.xs >= 0.5, self.upper, self.lower)
         slack = tol * np.maximum(1.0, np.maximum(np.abs(lo_bound), np.abs(hi_bound)))
         return bool(np.all(w >= lo_bound - slack) and np.all(w <= hi_bound + slack))
-
-    def to_csv(self, file) -> None:
-        """Write ``x,lower,upper`` rows with :func:`write_csv`."""
-        write_csv(file, ["x", "lower", "upper"], self.xs, self.lower, self.upper)
-
-    def to_csv_string(self) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
-
-
-def write_csv(file, header: Sequence[str], *columns) -> None:
-    """Write ``header``, then one row per index of ``columns``, to an open text file.
-
-    Every field is printed at 17 significant digits, enough to read back the
-    same double.
-    """
-    writer = csv.writer(file, lineterminator="\n")
-    writer.writerow(header)
-    for row in zip(*columns):
-        writer.writerow([f"{x:.17g}" for x in row])
 
 
 def certification_grid(n: int = 999) -> np.ndarray:
@@ -276,9 +253,10 @@ def calibration_cc(ell, c: float) -> bool | None:
     """Classification calibration at threshold ``c``.
 
     Accepts a :class:`ProperLoss` or a pair of partial losses ``(ell_pos,
-    ell_neg)``.  For proper losses calibration at ``c`` is equivalent to the
-    weight not vanishing there (atoms count); for raw partials the slope
-    conditions are tested directly:
+    ell_neg)``; a composite or noisy loss raises ``ValueError`` (see
+    :func:`calibration_composite`).  For proper losses calibration at ``c``
+    is equivalent to the weight not vanishing there (atoms count); for raw
+    partials the slope conditions are tested directly:
     ``ell_neg'(c) > 0``, ``ell_pos'(c) < 0`` and the stationarity identity
     ``c ell_pos'(c) + (1-c) ell_neg'(c) = 0`` within 1e-8 after normalising
     by ``|ell_neg'(c)|``, on the slopes that :func:`check_proper` reads.
@@ -288,7 +266,8 @@ def calibration_cc(ell, c: float) -> bool | None:
     c = float(c)
     if not 0.0 < c < 1.0:
         raise ValueError("c must lie in (0,1)")
-    if isinstance(ell, ProperLoss):
+    if isinstance(ell, _Loss):
+        _require_proper("calibration_cc", ell)
         return _atom_at(ell.weight, c) or float(ell.weight.w(c)) > 1e-12
     r_pos, r_neg = _weight_readings(*ell, [c])
     dp, dn = -(1.0 - c) * float(r_pos[0]), c * float(r_neg[0])

@@ -21,6 +21,7 @@ rejects as exit 3.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -77,9 +78,13 @@ def _emit_json(payload: dict) -> None:
 
 
 def _write_csv(path: str, header: list, *columns) -> None:
-    """Write columns to ``path`` with :func:`analysis.write_csv`."""
+    """Write ``header``, then one row per index of ``columns``, to ``path``: every field
+    at 17 significant digits, enough to read back the same double."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        analysis.write_csv(fh, header, *columns)
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow([f"{x:.17g}" for x in row])
 
 
 def _load_document(spec: str) -> dict:
@@ -296,8 +301,7 @@ def region(link_name: str, out_path: str, grid_size: int) -> None:
     """Export the convexity-compatible weight envelopes as x,lower,upper CSV."""
     link = catalog_link(link_name)
     curve = analysis.allowable_region(link, analysis.certification_grid(grid_size))
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        curve.to_csv(fh)
+    _write_csv(out_path, ["x", "lower", "upper"], curve.xs, curve.lower, curve.upper)
     _emit_json({"link": link_name, "rows": len(curve.xs), "out": out_path})
 
 

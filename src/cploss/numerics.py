@@ -10,7 +10,6 @@ from multiple threads.
 
 from __future__ import annotations
 
-import contextlib
 import heapq
 import itertools
 import math
@@ -24,13 +23,11 @@ __all__ = [
     "IntegrationError",
     "QuadratureSpec",
     "MinimizeResult",
-    "DEFAULT_QUADRATURE",
     "array_fn",
     "integrate",
     "antiderivative",
     "minimize_scalar",
     "lambert_w0",
-    "finite_diff",
 ]
 
 
@@ -258,6 +255,31 @@ def _adapt(f: Callable, a: float, b: float, spec: QuadratureSpec):
         heapq.heappush(heap, (-rerr, next(counter), mid, hi, right, depth + 1))
 
 
+def _integrals(f: Callable, a, b, spec: QuadratureSpec):
+    """The integrals of ``f`` over each ``[a_i, b_i]`` (broadcast), NaN where one failed,
+    and each failing interval's error by flat index.  In each lockstep pass every
+    unfinished interval splits its worst panel and one call of ``f`` evaluates the
+    new panels of all, so a value does not depend, bitwise, on the other intervals."""
+    pairs = np.broadcast(a, b)
+    asks = [(i, _adapt(f, float(lo), float(hi), spec), None) for i, (lo, hi) in enumerate(pairs)]
+    values, errors = np.full(pairs.size, math.nan), {}
+    while asks:
+        live = []
+        for i, loop, reply in asks:    # a reply of None starts a loop
+            try:
+                bad = [r for r in reply or () if isinstance(r, str)]   # a non-finite new panel
+                if bad:
+                    raise NumericsError(bad[0])
+                live.append((i, loop, loop.send(reply)))
+            except StopIteration as stop:
+                values[i] = stop.value
+            except NumericsError as exc:   # kept without this frame, which would hold it
+                errors[i] = exc.with_traceback(exc.__traceback__.tb_next)
+        sums = iter(_gk15(f, [p for *_, ask in live for p in ask]) if live else ())
+        asks = [(i, loop, [next(sums) for _ in ask]) for i, loop, ask in live]
+    return values.reshape(pairs.shape), errors
+
+
 def integrate(f: Callable, a, b, spec: QuadratureSpec = DEFAULT_QUADRATURE):
     """Estimate the integral of ``f`` over ``[a, b]``, or raise.
 
@@ -274,10 +296,9 @@ def integrate(f: Callable, a, b, spec: QuadratureSpec = DEFAULT_QUADRATURE):
     beyond it.
 
     Float bounds give a float; arrays of bounds, broadcast together, an array.
-    In each lockstep pass every unfinished interval splits its worst panel and
-    one call of ``f`` evaluates the new panels of all, so a value does not
-    depend, bitwise, on the other intervals of its call.  Of failing
-    intervals, the error of the lowest-index one is raised.
+    The intervals advance together in :func:`_integrals`, each run to its own
+    end and bitwise as if alone.  Of failing intervals, the error of the
+    lowest-index one is raised.
     A kink inside a panel can pass with a small error estimate, as the Gauss
     and Kronrod sums may err alike on it: ``(1-c) min(1/c, 1/(1-c)) / 2`` over
     ``[0.498, 1]`` is accepted 4e-6 off.  :func:`antiderivative` splits at knots.
@@ -292,34 +313,18 @@ def integrate(f: Callable, a, b, spec: QuadratureSpec = DEFAULT_QUADRATURE):
         in floating point, or a panel's estimate or error overflows on
         finite values; the exception carries the partial estimate.
     """
-    pairs = np.broadcast(a, b)
-    asks = [(i, _adapt(f, float(lo), float(hi), spec), None) for i, (lo, hi) in enumerate(pairs)]
-    out, failed = [0.0] * len(asks), []    # failed: the error of the lowest failing index
-    while asks:
-        live = []
-        for i, loop, reply in asks:    # a reply of None starts a loop
-            try:
-                bad = [r for r in reply or () if isinstance(r, str)]   # a non-finite new panel
-                if bad:
-                    raise NumericsError(bad[0])
-                live.append((i, loop, loop.send(reply)))
-            except StopIteration as stop:
-                out[i] = stop.value
-            except NumericsError as exc:   # no later interval can fail first any more
-                failed[:] = [exc]
-                break
-        sums = iter(_gk15(f, [p for *_, ask in live for p in ask]) if live else ())
-        asks = [(i, loop, [next(sums) for _ in ask]) for i, loop, ask in live]
-    if failed:   # popped: an error held here would hold this frame through its traceback
-        raise failed.pop()
-    return out[0] if pairs.ndim == 0 else np.array(out).reshape(pairs.shape)
+    values, errors = _integrals(f, a, b, spec)
+    if errors:   # the lowest, popped: an error held here would hold this frame through its traceback
+        errors = [errors[min(errors)]]
+        raise errors.pop()
+    return float(values) if values.ndim == 0 else values
 
 
 def _by_pieces(integrals: Callable, a, b, knots) -> np.ndarray:
     """The integral over each ``[a_i, b_i]`` (broadcast) cut at the sorted ``knots``,
     QUADPACK's QAGP breakpoints: ``integrals(p, q)`` of the pieces of all, in
     one call, summed.  A finite piece of zero width (as at a knot outside) is 0
-    and not passed on; a NaN or infinite bound is, so :func:`integrate` raises."""
+    and not passed on; a NaN or infinite bound is, so its integral fails."""
     a, b = np.broadcast_arrays(a, b)
     lo, hi = a.reshape(-1, 1), b.reshape(-1, 1)
     edges = np.concatenate([lo, np.minimum(np.maximum(knots, lo), hi), hi], axis=1)
@@ -337,24 +342,18 @@ def antiderivative(f: Callable, anchor: float, knots) -> Callable:
     itself is +0.0.  ``f`` must accept ndarrays (see :func:`integrate`).  The
     panels between consecutive points of ``{anchor} ∪ knots`` (where ``f`` may
     jump or kink, or a mesh graded toward a singular end) are integrated once,
-    here, in one lockstep :func:`integrate`, and their sums from the anchor
-    kept.  A point adds the piece from its nearest table point on the anchor's
-    side, the pieces of all points of a call in one lockstep :func:`integrate`:
-    a point's value does not depend on the others, and the first failing
-    point's error is raised.  Without knots a value is bitwise the bare
-    integral.  Past a panel that fails alone, a point integrates its whole
-    span, split at the table points, and so raises.
+    here, in one lockstep :func:`_integrals`, and their sums from the anchor
+    kept: a panel that fails spoils no other.  A point adds the piece from its
+    nearest table point on the anchor's side, the pieces of all points of a
+    call in one lockstep :func:`integrate`: a point's value does not depend on
+    the others, and the first failing point's error is raised.  Without knots
+    a value is bitwise the bare integral.  Past a panel that failed, a point
+    integrates its whole span, split at the table points, and so raises.
     """
     anchor = float(anchor)
     points = np.union1d(np.asarray(knots, dtype=float), [anchor])
     home = int(np.searchsorted(points, anchor))
-    try:
-        panels = integrate(f, points[:-1], points[1:])
-    except NumericsError:   # each panel alone, so that one failing panel spoils no other
-        panels = np.full(points.size - 1, np.nan)
-        for i in range(panels.size):
-            with contextlib.suppress(NumericsError):
-                panels[i] = integrate(f, points[i], points[i + 1])
+    panels, _ = _integrals(f, points[:-1], points[1:], DEFAULT_QUADRATURE)   # NaN where one fails
     # -0.0 at the anchor adds nothing, not even a sign
     sums = np.concatenate([-np.cumsum(panels[:home][::-1])[::-1], [-0.0], np.cumsum(panels[home:])])
     integrals = lambda p, q: integrate(f, p, q)

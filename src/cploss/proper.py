@@ -208,6 +208,12 @@ def _risk_terms(loss, eta, pred):
     return total
 
 
+def _require_proper(fn: str, loss) -> None:
+    """``ValueError`` naming ``fn`` unless ``loss`` is a :class:`ProperLoss`: partials on probabilities."""
+    if not isinstance(loss, ProperLoss):
+        raise ValueError(f"{fn} takes a proper loss, not a {type(loss).__name__}")
+
+
 def _check_unit(name: str, x) -> np.ndarray:
     """``x`` as a float array; ``ValueError`` unless every entry lies in [0, 1] (NaN too)."""
     x = np.asarray(x, dtype=float)
@@ -241,8 +247,10 @@ def bayes_risk_prime(loss, eta: float) -> float:
     """Derivative of the conditional Bayes risk.
 
     For a proper loss the stationarity of the risk at the honest prediction
-    collapses the derivative to ell_pos(eta) - ell_neg(eta).
+    collapses the derivative to ell_pos(eta) - ell_neg(eta).  Composite and
+    noisy losses raise ``ValueError``, as in every paper identity here.
     """
+    _require_proper("bayes_risk_prime", loss)
     return float(loss.ell_pos(eta)) - float(loss.ell_neg(eta))
 
 
@@ -258,6 +266,7 @@ def savage_check(loss, grid: Iterable[tuple[float, float]]) -> float:
     with the Bayes-risk derivative estimated by central differences, so the
     check is independent of the closed-form route.
     """
+    _require_proper("savage_check", loss)
     eta, etahat = np.asarray(list(grid), dtype=float).reshape(-1, 2).T
     lhs = conditional_risk(loss, eta, etahat)
     dbar = finite_diff(lambda t: bayes_risk(loss, t), etahat)
@@ -274,6 +283,7 @@ def schervish_check(loss, y: int, etahat: float) -> float:
     its :class:`~cploss.numerics.IntegrationError`, an ``etahat`` outside
     [0, 1] ``ValueError``.
     """
+    _require_proper("schervish_check", loss)
     if y not in (1, -1):
         raise ValueError("y must be +1 or -1")
     etahat = float(etahat)
@@ -307,6 +317,7 @@ def weight_from_loss(loss, grid: Sequence[float] | None = None) -> WeightFunctio
     on ``grid`` (default: 511 interior points).  Raises
     :class:`ImpropernessError` when a slope reading is significantly negative.
     """
+    _require_proper("weight_from_loss", loss)
     if grid is None:
         grid = np.linspace(1.0 / 512.0, 511.0 / 512.0, 511)
     r_pos, r_neg = readings = _weight_readings(loss.ell_pos, loss.ell_neg, grid)

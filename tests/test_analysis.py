@@ -391,16 +391,6 @@ class TestAllowableRegion:
         assert curve.lower[1] == pytest.approx(1.0)
         assert curve.upper[1] == pytest.approx(1.0)
 
-    def test_csv_round_trip(self):
-        curve = allowable_region(catalog_link("identity"), np.linspace(0.1, 0.9, 9))
-        text = curve.to_csv_string()
-        lines = text.strip().splitlines()
-        assert lines[0] == "x,lower,upper"
-        parsed = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-        assert np.allclose(parsed[:, 0], curve.xs)
-        assert np.allclose(parsed[:, 1], curve.lower)
-        assert np.allclose(parsed[:, 2], curve.upper)
-
     def test_membership_divides_by_the_weight_at_one_half(self, monkeypatch):
         # eight times the minimal weight leaves the identity region near 1/2 by
         # itself, and lies on its binding envelope once divided by w(1/2) = 8; the
@@ -509,6 +499,12 @@ class TestCalibration:
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             calibration_cc(catalog_loss("square"), 0.0)
+
+    def test_a_composite_is_refused_by_name(self):
+        cl = make_composite(catalog_loss("log"), catalog_link("logit"))
+        with pytest.raises(ValueError, match="^calibration_cc takes a proper loss, not a CompositeLoss$"):
+            calibration_cc(cl, 0.3)
+        assert calibration_composite(cl, 0.3) is True
 
 
 def test_oracle_inverts_the_score_grid_once():

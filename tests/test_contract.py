@@ -302,7 +302,7 @@ def test_an_eta_outside_the_unit_interval_raises(label):
 # a parameter of a public function or method.  A new one shows up here.
 DEFAULTED_SETTINGS = [
     "QuadratureSpec.abs_tol", "QuadratureSpec.rel_tol", "integrate(spec)",
-    "minimize_scalar(tol)", "finite_diff(h)",
+    "minimize_scalar(tol)",
     "WeightFunction.W", "WeightFunction.Wbar",
     "WeightFunction.atoms", "WeightFunction.name", "WeightFunction.knots",
     "catalog_weight(params)", "tabulated_weight(name)",
@@ -343,4 +343,4 @@ def test_every_defaulted_public_setting_is_listed():
                           if inspect.isfunction(fn) and not attr.startswith("_")
                           for p in _defaulted(fn)]
     assert found == DEFAULTED_SETTINGS
-    assert len(found) == 41
+    assert len(found) == 40

@@ -4,8 +4,10 @@ Independent oracles: a fixed-grid composite Gauss-Legendre rule for the
 integrals and scipy for the transcendental functions.
 """
 
+import gc
 import math
 import re
+import weakref
 import warnings
 from pathlib import Path
 
@@ -340,6 +342,10 @@ def test_integrals_are_bitwise_those_of_the_per_value_scan(name, monkeypatch):
     assert new == _integrals(f)
 
 
+def _raise(err):
+    raise err
+
+
 def _outcome(compute):
     """A float's bytes, an array's, or the type, message and estimate of the error raised."""
     try:
@@ -413,6 +419,42 @@ class TestLockstep:
         assert "did not converge" in errors[0][1] and "overflowed" in errors[1][1]
         assert "non-finite value" in errors[2][1] and "bounds must be finite" in errors[3][1]
         assert "a <= b" in errors[4][1] and isinstance(errors[5], bytes)
+
+    def test_each_failing_interval_is_reported_and_the_lowest_raised(self):
+        # (0.0, 0.2) fails after 60 passes, (0.5, 0.55) in the first
+        f = self.failing_in_every_way
+        lo, hi = np.array([(0.1, 0.2), (0.0, 0.2), (0.3, 0.45), (0.5, 0.55), (0.6, 0.7)]).T
+        with np.errstate(all="ignore"):
+            alone = [_outcome(lambda: integrate(f, p, q)) for p, q in zip(lo, hi)]
+            values, errors = numerics._integrals(f, lo, hi, numerics.DEFAULT_QUADRATURE)
+            with pytest.raises(NumericsError) as raised:
+                integrate(f, lo, hi)
+        assert sorted(errors) == [1, 3]
+        for i, want in enumerate(alone):
+            if i in errors:
+                assert np.isnan(values[i]) and _outcome(lambda: _raise(errors[i])) == want
+            else:
+                assert values[i].tobytes() == want
+        assert _outcome(lambda: _raise(raised.value)) == alone[1]
+        assert "did not converge" in alone[1][1] and "non-finite value" in alone[3][1]
+
+    def test_a_handled_error_holds_nothing_in_a_cycle(self):
+        # a frame that held its own error would keep the integrand alive until a collection
+        class Integrand:
+            def __call__(self, x):
+                return TestLockstep.failing_in_every_way(x)
+
+        gc.disable()
+        try:
+            for lo, hi in [(0.5, 0.55), ([0.3, 0.5, 0.0], [0.45, 0.55, 0.2])]:
+                f = Integrand()
+                alive = weakref.ref(f)
+                with np.errstate(all="ignore"), pytest.raises(NumericsError):
+                    integrate(f, lo, hi)
+                del f
+                assert alive() is None
+        finally:
+            gc.enable()
 
     @settings(max_examples=40, deadline=None)
     @given(st.permutations(range(6)), st.integers(1, 6))
@@ -541,6 +583,24 @@ class TestAntiderivative:
             assert isinstance(alone, tuple) and "non-finite value" in alone[1]
             assert _outcome(lambda: F(np.array([0.4, 0.58]))) == alone
             assert _outcome(lambda: F(0.7)) == alone
+
+    def test_a_failing_panel_leaves_the_table_one_lockstep_call(self, monkeypatch):
+        f = TestLockstep.failing_in_every_way    # NaN on (0.5, 0.55)
+        points = np.array([0.3, 0.35, 0.4, 0.5, 0.55, 0.6, 0.7])
+        calls, integrals = [], numerics._integrals
+
+        def counting(*args):
+            calls.append(integrals(*args))
+            return calls[-1]
+
+        with np.errstate(all="ignore"):
+            monkeypatch.setattr(numerics, "_integrals", counting)
+            antiderivative(f, 0.3, points)
+            monkeypatch.undo()
+            alone = [_outcome(lambda: integrate(f, p, q)) for p, q in zip(points[:-1], points[1:])]
+        (panels, errors), = calls
+        assert list(errors) == [3] and np.isnan(panels[3])
+        assert [panels[i].tobytes() for i in (0, 1, 2, 4, 5)] == [alone[i] for i in (0, 1, 2, 4, 5)]
 
     def test_keeps_the_shape_of_its_argument(self):
         F = antiderivative(lambda c: 2.0 * c, 0.0, ())

@@ -10,12 +10,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cploss.analysis import check_proper
+from cploss.composite import make_composite
+from cploss.links import catalog_link
 from cploss.expressions import compile_expression
 from cploss.numerics import IntegrationError, integrate
 from cploss.proper import (
     ImpropernessError,
     ProperLoss,
     bayes_risk,
+    bayes_risk_prime,
     catalog_loss,
     conditional_risk,
     cost_loss,
@@ -27,6 +30,7 @@ from cploss.proper import (
     weight_from_loss,
     zero_one_loss,
 )
+from cploss.robustness import noisy_loss
 from cploss.weights import WeightFunction, catalog_weight, tabulated_weight
 from weight_strategies import BETA_EXPONENTS, beta_expression
 
@@ -244,7 +248,6 @@ class TestRegret:
         # regret equals the divergence of the negative Bayes risk:
         # -Lbar(eta) + Lbar(etahat) + (eta - etahat) Lbar'(etahat)
         loss = catalog_loss("log")
-        from cploss.proper import bayes_risk_prime
         for eta, etahat in [(0.3, 0.6), (0.8, 0.2), (0.5, 0.5)]:
             breg = (-bayes_risk(loss, eta) + bayes_risk(loss, etahat)
                     + (eta - etahat) * bayes_risk_prime(loss, etahat))
@@ -499,6 +502,41 @@ class TestSymmetricReconstruction:
     def test_bad_side(self):
         with pytest.raises(ValueError):
             reconstruct_symmetric(lambda e: np.asarray(e, dtype=float), "middle")
+
+
+_LOGIT_LOG = make_composite(catalog_loss("log"), catalog_link("logit"))
+_SCORE_SCALE = {"CompositeLoss": _LOGIT_LOG, "NoisyLoss": noisy_loss(_LOGIT_LOG, 0.1)}
+
+
+class TestPaperIdentitiesTakeProperLosses:
+    """Each identity reads partials and a weight on the probability scale: a
+    loss on the score scale is refused by name, not evaluated off its scale."""
+
+    @pytest.mark.parametrize("kind", list(_SCORE_SCALE))
+    def test_bayes_risk_prime(self, kind):
+        with pytest.raises(ValueError, match=f"^bayes_risk_prime takes a proper loss, not a {kind}$"):
+            bayes_risk_prime(_SCORE_SCALE[kind], 0.3)
+
+    @pytest.mark.parametrize("kind", list(_SCORE_SCALE))
+    def test_savage_check(self, kind):
+        with pytest.raises(ValueError, match=f"^savage_check takes a proper loss, not a {kind}$"):
+            savage_check(_SCORE_SCALE[kind], [(0.3, 0.4), (0.6, 0.2)])
+
+    @pytest.mark.parametrize("kind", list(_SCORE_SCALE))
+    def test_schervish_check(self, kind):
+        with pytest.raises(ValueError, match=f"^schervish_check takes a proper loss, not a {kind}$"):
+            schervish_check(_SCORE_SCALE[kind], 1, 0.3)
+
+    @pytest.mark.parametrize("kind", list(_SCORE_SCALE))
+    def test_weight_from_loss(self, kind):
+        with pytest.raises(ValueError, match=f"^weight_from_loss takes a proper loss, not a {kind}$"):
+            weight_from_loss(_SCORE_SCALE[kind])
+
+    def test_the_base_still_gives_the_paper_values(self):
+        base = _LOGIT_LOG.base
+        assert bayes_risk_prime(base, 0.3) == pytest.approx(math.log(7.0 / 3.0), rel=1e-12)
+        assert savage_check(base, [(0.3, 0.4), (0.6, 0.2)]) <= 1e-8
+        assert float(weight_from_loss(base).w(0.5)) == pytest.approx(4.0, rel=1e-5)
 
 
 class TestSymmetryCoupling:

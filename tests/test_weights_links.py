@@ -97,17 +97,17 @@ class TestCatalogIsBuiltOnce:
     @pytest.fixture()
     def counts(self, monkeypatch):
         counts = {"integrate": 0, "build": 0}
-        integrate, post_init = weights.integrate, WeightFunction.__post_init__
+        integrals, post_init = weights._integrals, WeightFunction.__post_init__
 
-        def counting_integrate(*args, **kwargs):
+        def counting_integrals(*args, **kwargs):
             counts["integrate"] += 1
-            return integrate(*args, **kwargs)
+            return integrals(*args, **kwargs)
 
         def counting_post_init(wf):
             counts["build"] += 1
             post_init(wf)
 
-        monkeypatch.setattr(weights, "integrate", counting_integrate)
+        monkeypatch.setattr(weights, "_integrals", counting_integrals)
         monkeypatch.setattr(WeightFunction, "__post_init__", counting_post_init)
         return counts
 
